@@ -14,6 +14,10 @@ namespace {
 constexpr sim::SimTime kNeverSuspected =
     std::numeric_limits<sim::SimTime>::min();
 constexpr std::size_t kAckBytes = 64;  // Ack / NACK / Replication Response
+// Warm-chunk transfer bounds (anti-entropy recovery, scrubber, rebalance).
+constexpr std::size_t kRecoveryPeers = 3;      // digest peers per round
+constexpr std::size_t kMaxPulledChunks = 512;  // chunks per digest exchange
+constexpr int kRebalanceMaxAttempts = 3;       // per move, then flip cold
 }  // namespace
 
 StashCluster::Node::Node(NodeId node_id, const StashConfig& stash_config,
@@ -719,10 +723,9 @@ void StashCluster::recover_node(NodeId id) {
   start_recovery(id);
 }
 
-std::vector<StashCluster::DigestEntry> StashCluster::recovery_digest(
-    NodeId holder, NodeId owner) const {
+std::vector<StashCluster::DigestEntry> StashCluster::warm_digest(
+    NodeId holder, const std::vector<std::string>& partitions) const {
   std::vector<DigestEntry> out;
-  const auto partitions = dht_.partitions_of(owner);
   const Node& node = *nodes_[holder];
   const auto covers = [&](const std::string& prefix) {
     for (const auto& p : partitions) {
@@ -754,6 +757,133 @@ std::vector<StashCluster::DigestEntry> StashCluster::recovery_digest(
   return out;
 }
 
+std::optional<std::vector<ChunkContribution>> StashCluster::decode_or_poison(
+    const codec::Buffer& verified) {
+  try {
+    return codec::decode_replication_payload(verified);
+  } catch (const std::exception&) {
+    // Checksum-valid but structurally bad: a sender-side encoding bug, not
+    // line noise.  Quarantine (drop), never absorb garbage.
+    counters_.poison_messages.inc();
+    return std::nullopt;
+  }
+}
+
+void StashCluster::pull_warm_chunks(NodeId to, NodeId donor,
+                                    std::optional<std::string> partition,
+                                    bool background,
+                                    std::function<bool()> current,
+                                    std::function<void()> done) {
+  const auto stale = [current = std::move(current)] {
+    return current && !current();
+  };
+  // Digest Request: receiver -> donor.  The scope is resolved on arrival,
+  // against the ring the donor sees then.
+  send_message(
+      to, donor, config_.request_bytes,
+      [=, this] {
+        const auto digest = std::make_shared<std::vector<DigestEntry>>(
+            warm_digest(donor, partition
+                                   ? std::vector<std::string>{*partition}
+                                   : dht_.partitions_of(to)));
+        // Digest Response: one (level, chunk, bitmap-hash) triple per entry.
+        const std::size_t bytes = config_.request_bytes + 24 * digest->size();
+        send_message(
+            donor, to, bytes,
+            [=, this] {
+              if (stale()) return;
+              counters_.digests_exchanged.inc();
+              Node& local = *nodes_[to];
+              // Diff against the local graph's content digests.  Pull a
+              // chunk this node does not hold at all; when BOTH sides hold
+              // it complete but the digests disagree, the local copy
+              // diverged or rotted — quarantine it (drop) and re-pull,
+              // never trust it.  A locally partial chunk is left alone:
+              // absorb's idempotence guard would reject the overlapping
+              // days anyway.
+              auto wanted = std::make_shared<
+                  std::vector<std::pair<Resolution, ChunkKey>>>();
+              for (const auto& entry : *digest) {
+                if (wanted->size() >= kMaxPulledChunks) break;
+                const std::uint64_t local_hash =
+                    local.graph.chunk_digest(entry.res, entry.chunk);
+                if (local_hash == entry.hash) continue;  // same content
+                if (local_hash != 0) {
+                  if (!local.graph.chunk_complete(entry.res, entry.chunk))
+                    continue;  // partial: skip
+                  local.graph.drop_chunk(entry.res, entry.chunk);
+                  counters_.replica_divergences.inc();
+                }
+                wanted->emplace_back(entry.res, entry.chunk);
+              }
+              if (wanted->empty()) {
+                // Nothing warm to pull (cold scope, or already in sync).
+                if (done) done();
+                return;
+              }
+              // Chunk Pull Request: names exactly the missing complete
+              // chunks.
+              const std::size_t req_bytes =
+                  config_.request_bytes + 16 * wanted->size();
+              send_message(
+                  to, donor, req_bytes,
+                  [=, this] {
+                    if (stale()) return;
+                    Node& holder = *nodes_[donor];
+                    auto payload = chunk_payload(holder.graph, *wanted);
+                    std::set<std::pair<int, ChunkKey>> shipped;
+                    for (const auto& c : payload)
+                      shipped.insert({level_index(c.res), c.chunk});
+                    std::vector<std::pair<Resolution, ChunkKey>> rest;
+                    for (const auto& [res, chunk] : *wanted)
+                      if (!shipped.contains({level_index(res), chunk}))
+                        rest.emplace_back(res, chunk);
+                    for (auto& c : chunk_payload(holder.guest_graph, rest))
+                      payload.push_back(std::move(c));
+                    if (payload.empty()) {
+                      // The donor lost the chunks since its digest: an
+                      // empty Ack tells a waiting receiver it is over.
+                      if (done)
+                        send_message(
+                            donor, to, kAckBytes,
+                            [=] {
+                              if (!stale()) done();
+                            },
+                            background);
+                      return;
+                    }
+                    // The shipment rides the checksummed Replication frame
+                    // path (same wire format as hotspot handoff): a
+                    // corrupted transfer is detected and redelivered
+                    // instead of poisoning the receiver's cache.
+                    send_frame(
+                        donor, to, codec::encode_replication_frame(payload),
+                        [=, this](codec::Buffer&& verified) {
+                          if (stale()) return;
+                          const auto contributions =
+                              decode_or_poison(verified);
+                          if (!contributions) return;
+                          Node& receiver = *nodes_[to];
+                          std::uint64_t chunks = 0, cells = 0;
+                          for (const auto& c : *contributions) {
+                            if (receiver.graph.absorb(c, loop_.now()) == 0)
+                              continue;
+                            ++chunks;
+                            cells += c.cells.size();
+                          }
+                          counters_.chunks_rewarmed.inc(chunks);
+                          counters_.cells_rewarmed.inc(cells);
+                          if (done) done();
+                        },
+                        background, config_.max_redeliveries);
+                  },
+                  background);
+            },
+            background);
+      },
+      background);
+}
+
 void StashCluster::start_recovery(NodeId id) {
   if (!config_.recovery || !fault_.alive(id)) return;
   if (loop_.now() - last_recovery_[id] < config_.recovery_cooldown) return;
@@ -766,7 +896,7 @@ void StashCluster::start_recovery(NodeId id) {
   for (NodeId peer = 0; peer < nodes_.size(); ++peer)
     if (peer != id && !membership_->usable(id, peer))
       node.routing.drop_helper(peer);
-  // Digest peers: the first recovery_peers nodes along this node's ring
+  // Digest peers: the first kRecoveryPeers nodes along this node's ring
   // successor chain.  Whichever of them the front-end failed over to
   // served (and cached) this node's partitions while it was gone; the
   // rejoining node cannot know which — front-end reachability during the
@@ -780,115 +910,13 @@ void StashCluster::start_recovery(NodeId id) {
   std::vector<NodeId> peers;
   const std::size_t ring_size = dht_.ring().members.size();
   for (std::uint32_t k = 0;
-       k + 1 < ring_size && peers.size() < config_.recovery_peers; ++k) {
+       k + 1 < ring_size && peers.size() < kRecoveryPeers; ++k) {
     const NodeId peer = dht_.successor_of_node(id, k);
     if (peer != id) peers.push_back(peer);
   }
-  for (const NodeId peer : peers) {
-    // Digest Request: rejoining node -> replica holder.
-    send_message(id, peer, config_.request_bytes, [this, id, peer] {
-      const auto digest = std::make_shared<std::vector<DigestEntry>>(
-          recovery_digest(peer, id));
-      // Digest Response: one (level, chunk, bitmap-hash) triple per entry.
-      const std::size_t bytes = config_.request_bytes + 24 * digest->size();
-      send_message(peer, id, bytes, [this, id, peer, digest] {
-        counters_.digests_exchanged.inc();
-        Node& local = *nodes_[id];
-        // Diff against the local graph's content digests.  Pull a chunk
-        // this node does not hold at all; when BOTH sides hold it complete
-        // but the digests disagree, the local copy diverged or rotted —
-        // quarantine it (drop) and re-pull, never trust it.  A locally
-        // partial chunk is left alone: absorb's idempotence guard would
-        // reject the overlapping days anyway.
-        auto wanted = std::make_shared<
-            std::vector<std::pair<Resolution, ChunkKey>>>();
-        for (const auto& entry : *digest) {
-          if (wanted->size() >= config_.recovery_max_chunks) break;
-          const std::uint64_t local_hash =
-              local.graph.chunk_digest(entry.res, entry.chunk);
-          if (local_hash == entry.hash) continue;  // same coverage + content
-          if (local_hash != 0) {
-            if (!local.graph.chunk_complete(entry.res, entry.chunk))
-              continue;  // partial: skip
-            local.graph.drop_chunk(entry.res, entry.chunk);
-            counters_.replica_divergences.inc();
-          }
-          wanted->emplace_back(entry.res, entry.chunk);
-        }
-        if (wanted->empty()) return;
-        // Chunk Pull Request: names exactly the missing complete chunks.
-        const std::size_t req_bytes =
-            config_.request_bytes + 16 * wanted->size();
-        send_message(id, peer, req_bytes, [this, id, peer, wanted] {
-          Node& holder = *nodes_[peer];
-          auto payload = chunk_payload(holder.graph, *wanted);
-          std::set<std::pair<int, ChunkKey>> shipped;
-          for (const auto& c : payload)
-            shipped.insert({level_index(c.res), c.chunk});
-          std::vector<std::pair<Resolution, ChunkKey>> rest;
-          for (const auto& [res, chunk] : *wanted)
-            if (!shipped.contains({level_index(res), chunk}))
-              rest.emplace_back(res, chunk);
-          for (auto& c : chunk_payload(holder.guest_graph, rest))
-            payload.push_back(std::move(c));
-          if (payload.empty()) return;
-          codec::Buffer wire = codec::encode_replication_frame(payload);
-          // Re-warm shipment rides the checksummed Replication frame path
-          // (same wire format as hotspot handoff): a corrupted transfer is
-          // detected and redelivered instead of poisoning the rejoining
-          // node's cache.
-          send_frame(
-              peer, id, std::move(wire),
-              [this, id](codec::Buffer&& verified) {
-                Node& rejoined = *nodes_[id];
-                std::vector<ChunkContribution> contributions;
-                try {
-                  contributions = codec::decode_replication_payload(verified);
-                } catch (const std::exception&) {
-                  counters_.poison_messages.inc();
-                  return;
-                }
-                std::uint64_t chunks = 0, cells = 0;
-                for (const auto& c : contributions) {
-                  if (rejoined.graph.absorb(c, loop_.now()) == 0) continue;
-                  ++chunks;
-                  cells += c.cells.size();
-                }
-                counters_.chunks_rewarmed.inc(chunks);
-                counters_.cells_rewarmed.inc(cells);
-              },
-              /*background=*/false, config_.max_redeliveries);
-        });
-      });
-    });
-  }
-}
-
-std::vector<StashCluster::DigestEntry> StashCluster::partition_digest(
-    NodeId holder, const std::string& partition) const {
-  std::vector<DigestEntry> out;
-  const Node& node = *nodes_[holder];
-  const auto covers = [&](const std::string& prefix) {
-    return prefix.size() >= partition.size()
-               ? prefix.compare(0, partition.size(), partition) == 0
-               : partition.compare(0, prefix.size(), prefix) == 0;
-  };
-  std::set<std::pair<int, ChunkKey>> seen;
-  const auto collect = [&](const StashGraph& graph) {
-    for (int lvl = 0; lvl < kNumLevels; ++lvl) {
-      const Resolution res = resolution_of_level(lvl);
-      graph.for_each_chunk(
-          res, [&](const ChunkKey& key, const StashGraph::ChunkData&) {
-            if (!covers(key.prefix_str())) return;
-            if (!graph.chunk_complete(res, key)) return;
-            if (!seen.insert({lvl, key}).second) return;
-            out.push_back({res, key, graph.chunk_digest(res, key)});
-          });
-    }
-  };
-  collect(node.graph);
-  collect(node.guest_graph);
-  return out;
+  for (const NodeId peer : peers)
+    pull_warm_chunks(id, peer, std::nullopt, /*background=*/false,
+                     /*current=*/{}, /*done=*/{});
 }
 
 // --- elastic membership & ring rebalancing -------------------------------
@@ -1098,134 +1126,26 @@ void StashCluster::start_move(const std::string& partition) {
       }
   }
   if (donor == to || !fault_.alive(to)) return;  // deadline path owns this
-  // Kickoff: front-end -> new owner -> donor digest -> diff -> pull ->
-  // checksummed frame -> absorb -> done report.  Same shape (and the same
-  // counters) as anti-entropy recovery, scoped to one partition.
+  // Kickoff: front-end -> new owner, which then pulls the partition's warm
+  // chunks from the donor and reports done.  Every hop but the digest
+  // request drops itself once this (epoch, attempt) is superseded.
   send_message(
       sim::kFrontendNode, to, config_.request_bytes,
       [this, partition, epoch, attempt, donor, to] {
         if (!move_current(partition, epoch, attempt)) return;
-        send_message(
-            to, donor, config_.request_bytes,
-            [this, partition, epoch, attempt, donor, to] {
-              const auto digest = std::make_shared<std::vector<DigestEntry>>(
-                  partition_digest(donor, partition));
-              const std::size_t bytes =
-                  config_.request_bytes + 24 * digest->size();
+        pull_warm_chunks(
+            to, donor, partition, /*background=*/true,
+            [this, partition, epoch, attempt] {
+              return move_current(partition, epoch, attempt);
+            },
+            [this, partition, epoch, attempt, to] {
               send_message(
-                  donor, to, bytes,
-                  [this, partition, epoch, attempt, donor, to, digest] {
-                    if (!move_current(partition, epoch, attempt)) return;
-                    counters_.digests_exchanged.inc();
-                    Node& local = *nodes_[to];
-                    auto wanted = std::make_shared<
-                        std::vector<std::pair<Resolution, ChunkKey>>>();
-                    for (const auto& entry : *digest) {
-                      if (wanted->size() >= config_.rebalance_max_chunks)
-                        break;
-                      const std::uint64_t local_hash =
-                          local.graph.chunk_digest(entry.res, entry.chunk);
-                      if (local_hash == entry.hash) continue;
-                      if (local_hash != 0) {
-                        if (!local.graph.chunk_complete(entry.res,
-                                                        entry.chunk))
-                          continue;  // partial: absorb's guard protects it
-                        local.graph.drop_chunk(entry.res, entry.chunk);
-                        counters_.replica_divergences.inc();
-                      }
-                      wanted->emplace_back(entry.res, entry.chunk);
-                    }
-                    if (wanted->empty()) {
-                      // Nothing warm to pull (cold partition, or already
-                      // in sync): the handoff is complete as-is.
-                      send_message(
-                          to, sim::kFrontendNode, kAckBytes,
-                          [this, partition, epoch, attempt] {
-                            complete_move(partition, epoch, attempt);
-                          },
-                          /*background=*/true);
-                      return;
-                    }
-                    const std::size_t req_bytes =
-                        config_.request_bytes + 16 * wanted->size();
-                    send_message(
-                        to, donor, req_bytes,
-                        [this, partition, epoch, attempt, donor, to, wanted] {
-                          if (!move_current(partition, epoch, attempt))
-                            return;
-                          Node& holder = *nodes_[donor];
-                          auto payload = chunk_payload(holder.graph, *wanted);
-                          std::set<std::pair<int, ChunkKey>> shipped;
-                          for (const auto& c : payload)
-                            shipped.insert({level_index(c.res), c.chunk});
-                          std::vector<std::pair<Resolution, ChunkKey>> rest;
-                          for (const auto& [res, chunk] : *wanted)
-                            if (!shipped.contains({level_index(res), chunk}))
-                              rest.emplace_back(res, chunk);
-                          for (auto& c :
-                               chunk_payload(holder.guest_graph, rest))
-                            payload.push_back(std::move(c));
-                          if (payload.empty()) {
-                            send_message(
-                                donor, to, kAckBytes,
-                                [this, partition, epoch, attempt, to] {
-                                  if (!move_current(partition, epoch,
-                                                    attempt))
-                                    return;
-                                  send_message(
-                                      to, sim::kFrontendNode, kAckBytes,
-                                      [this, partition, epoch, attempt] {
-                                        complete_move(partition, epoch,
-                                                      attempt);
-                                      },
-                                      /*background=*/true);
-                                },
-                                /*background=*/true);
-                            return;
-                          }
-                          codec::Buffer wire =
-                              codec::encode_replication_frame(payload);
-                          send_frame(
-                              donor, to, std::move(wire),
-                              [this, partition, epoch, attempt,
-                               to](codec::Buffer&& verified) {
-                                if (!move_current(partition, epoch, attempt))
-                                  return;
-                                Node& target = *nodes_[to];
-                                std::vector<ChunkContribution> contributions;
-                                try {
-                                  contributions =
-                                      codec::decode_replication_payload(
-                                          verified);
-                                } catch (const std::exception&) {
-                                  counters_.poison_messages.inc();
-                                  return;  // deadline path retries
-                                }
-                                std::uint64_t chunks = 0, cells = 0;
-                                for (const auto& c : contributions) {
-                                  if (target.graph.absorb(c, loop_.now()) ==
-                                      0)
-                                    continue;
-                                  ++chunks;
-                                  cells += c.cells.size();
-                                }
-                                counters_.chunks_rewarmed.inc(chunks);
-                                counters_.cells_rewarmed.inc(cells);
-                                send_message(
-                                    to, sim::kFrontendNode, kAckBytes,
-                                    [this, partition, epoch, attempt] {
-                                      complete_move(partition, epoch,
-                                                    attempt);
-                                    },
-                                    /*background=*/true);
-                              },
-                              /*background=*/true, config_.max_redeliveries);
-                        },
-                        /*background=*/true);
+                  to, sim::kFrontendNode, kAckBytes,
+                  [this, partition, epoch, attempt] {
+                    complete_move(partition, epoch, attempt);
                   },
                   /*background=*/true);
-            },
-            /*background=*/true);
+            });
       },
       /*background=*/true);
 }
@@ -1239,7 +1159,7 @@ void StashCluster::on_move_deadline(const std::string& partition,
   // A deregistered target is a reverting joiner: hold the handoff (old
   // owner keeps serving) until the watcher advances the epoch past it.
   if (!membership_->is_registered(move.to)) return;
-  if (move.attempt + 1 < config_.rebalance_max_attempts) {
+  if (move.attempt + 1 < kRebalanceMaxAttempts) {
     ++move.attempt;
     start_move(partition);
     return;
@@ -2373,19 +2293,10 @@ void StashCluster::send_distress(NodeId hot_id, Clique clique, int attempt) {
                   hot_id, target, std::move(wire),
                   [this, hot_id, target, clique = std::move(clique), cells,
                    settled, settle](codec::Buffer&& bytes) mutable {
+                    const auto contributions = decode_or_poison(bytes);
+                    if (!contributions) return;
                     Node& helper_node = *nodes_[target];
-                    std::vector<ChunkContribution> contributions;
-                    try {
-                      contributions =
-                          codec::decode_replication_payload(bytes);
-                    } catch (const std::exception&) {
-                      // Checksum-valid but structurally bad: a sender-side
-                      // encoding bug, not line noise.  Quarantine (drop),
-                      // never absorb garbage.
-                      counters_.poison_messages.inc();
-                      return;
-                    }
-                    for (const auto& contribution : contributions)
+                    for (const auto& contribution : *contributions)
                       helper_node.guest_graph.absorb(contribution, loop_.now());
                     counters_.cliques_replicated.inc();
                     counters_.cells_replicated.inc(cells);

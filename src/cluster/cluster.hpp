@@ -144,11 +144,6 @@ struct ClusterConfig {
   /// latency optimisation — correctness never depends on it (the durable
   /// store remains the truth).
   bool recovery = true;
-  /// Cap on chunks pulled back per digest exchange (bounds the transfer).
-  std::size_t recovery_max_chunks = 512;
-  /// Digest peers consulted per recovery round (ring successors of the
-  /// node's partitions, deduped).
-  std::size_t recovery_peers = 3;
   /// Minimum spacing between anti-entropy rounds for one node.
   sim::SimTime recovery_cooldown = 1 * sim::kSecond;
 
@@ -245,11 +240,6 @@ struct ClusterConfig {
   /// Deadline for one warm-transfer attempt of one moved partition; on
   /// expiry the attempt aborts and is retried (fresh attempt tag).
   sim::SimTime rebalance_transfer_deadline = 2 * sim::kSecond;
-  /// Warm-transfer attempts per moved partition before flipping cold (the
-  /// new owner serves from durable storage; warmth rebuilds on demand).
-  int rebalance_max_attempts = 3;
-  /// Cap on chunks pulled per moved partition (bounds each transfer).
-  std::size_t rebalance_max_chunks = 512;
   /// Metrics-driven scale-out/scale-in (inert by default).
   AutoscalePolicy autoscale;
 };
@@ -723,12 +713,27 @@ class StashCluster {
   /// exchange + chunk pull against replica-holding ring successors.
   void start_recovery(NodeId id);
   /// Complete-chunk digest of `holder`'s graphs (local + guest) restricted
-  /// to the partitions `owner` owns — the anti-entropy comparison unit.
-  [[nodiscard]] std::vector<DigestEntry> recovery_digest(NodeId holder,
-                                                         NodeId owner) const;
-  /// Same digest restricted to one partition (the rebalance transfer unit).
-  [[nodiscard]] std::vector<DigestEntry> partition_digest(
-      NodeId holder, const std::string& partition) const;
+  /// to chunks overlapping any of `partitions` — the comparison unit of
+  /// every warm-chunk transfer.
+  [[nodiscard]] std::vector<DigestEntry> warm_digest(
+      NodeId holder, const std::vector<std::string>& partitions) const;
+  /// Decodes a verified Replication payload.  A checksum-valid but
+  /// structurally bad payload is counted as poison and yields nullopt.
+  [[nodiscard]] std::optional<std::vector<ChunkContribution>> decode_or_poison(
+      const std::vector<std::uint8_t>& verified);
+  /// The one warm-chunk transfer (anti-entropy recovery, the scrubber and
+  /// elastic rebalance): digest request to `donor`, digest response, diff
+  /// (drop a diverged complete chunk, skip a partial one, cap the pull),
+  /// pull request, checksummed frame, decode, absorb into `to`'s graph.
+  /// The digest covers `partition`, or — when nullopt — every partition
+  /// `to` owns when the donor builds it.  `current` (if set) is checked on
+  /// arrival of every hop after the digest request; a false answer drops
+  /// the transfer.  `done` (if set) runs at `to` once nothing is left to
+  /// pull, the donor acked an empty payload, or the frame was absorbed.
+  void pull_warm_chunks(NodeId to, NodeId donor,
+                        std::optional<std::string> partition, bool background,
+                        std::function<bool()> current,
+                        std::function<void()> done);
   // --- elastic membership & ring rebalancing ---
   /// Arms the ring watcher (and autoscaler, if enabled) exactly once.
   /// Called from the ctor for elastic configs, and lazily from
@@ -749,7 +754,7 @@ class StashCluster {
   /// anti-entropy digest/pull path, then reports done to the front-end.
   void start_move(const std::string& partition);
   /// Transfer deadline: aborts the attempt and retries, or flips cold
-  /// after rebalance_max_attempts.
+  /// after the last attempt.
   void on_move_deadline(const std::string& partition, std::uint64_t epoch,
                         int attempt);
   /// Front-end receipt of a completed transfer: the atomic flip.

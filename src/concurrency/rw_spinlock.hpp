@@ -1,14 +1,14 @@
 // Reader-writer spinlock on a single catomic word, with clang
 // thread-safety annotations.
 //
-// Drop-in shaped like common/thread_annotations.hpp's SharedMutex so the
-// ConcurrentStashGraph guard pattern (one annotated capability, shared
-// reads / exclusive writes) can move off std::shared_mutex when the
-// parallel datapath needs a spin-class lock.  The model checker verifies
-// the guard protocol itself — mutual exclusion and reader/writer
-// happens-before — in tests/mc/graph_guard_mc_test.cpp, something the
-// thread-safety annotations cannot express (they check acquisition
-// discipline, not memory ordering).
+// Drop-in shaped like common/thread_annotations.hpp's SharedMutex.  It is
+// the graph guard of the parallel datapath, ParallelQueryEngine::graph_lock_
+// (one annotated capability: chunk tasks share it to read, absorb takes it
+// exclusively to write).  The model checker verifies the guard protocol
+// itself — mutual exclusion and reader/writer happens-before — in
+// tests/mc/graph_guard_mc_test.cpp, something the thread-safety
+// annotations cannot express (they check acquisition discipline, not
+// memory ordering).
 //
 // State word: 0 = free, -1 = writer, n>0 = n readers.
 #pragma once

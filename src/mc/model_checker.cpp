@@ -224,9 +224,10 @@ class Engine {
   }
 
   [[nodiscard]] std::string thread_label() const {
-    return tls_tid == kControllerThread
-               ? std::string("C ")
-               : "T" + std::to_string(tls_tid);
+    if (tls_tid == kControllerThread) return "C ";
+    std::string label = "T";
+    label += std::to_string(tls_tid);
+    return label;
   }
 
  private:

@@ -1,4 +1,4 @@
-// Elastic membership (ISSUE 10): live scale-out/scale-in with
+// Elastic membership: live scale-out/scale-in with
 // fault-tolerant ring rebalancing.  The properties under test:
 //
 //   * epoch-versioned ownership — after quiescence every partition has
@@ -347,13 +347,28 @@ TEST(ElasticClusterTest, AutoscaleGrowsUnderLoadAndShrinksWhenIdle) {
   expect_cells_equal(got, control_cells(county_query()), "autoscale answer");
 }
 
-// The ISSUE-mandated property sweep: seeds x {scale-out, scale-in,
-// autoscale} x {none, crash-mid-transfer, partition-mid-transfer}.  Every
-// combination must quiesce with a clean audit, exactly one live owner per
-// partition, and answers byte-equal to the control cluster or honestly
-// flagged.
+// The property sweep: seeds x {scale-out, scale-in, autoscale} x {none,
+// crash-mid-transfer, partition-mid-transfer, corrupted transfer frames}.
+// Every combination must quiesce with a clean audit, exactly one live
+// owner per partition, and answers byte-equal to the control cluster or
+// honestly flagged.
 enum class Scenario { kScaleOut, kScaleIn, kAutoscale };
-enum class Adversity { kNone, kCrash, kPartition };
+enum class Adversity { kNone, kCrash, kPartition, kCorrupt };
+
+/// Nodes that own, under ring `after`, a partition they did not own under
+/// `before`: the receivers of that epoch change's transfer frames.
+std::vector<NodeId> gaining_owners(std::vector<NodeId> before,
+                                   std::vector<NodeId> after) {
+  ZeroHopDht old_ring(1), new_ring(1);
+  old_ring.install({.epoch = 1, .members = std::move(before)});
+  new_ring.install({.epoch = 1, .members = std::move(after)});
+  std::set<NodeId> out;
+  for (const auto& partition : old_ring.all_partitions()) {
+    const NodeId owner = new_ring.node_for_partition(partition);
+    if (owner != old_ring.node_for_partition(partition)) out.insert(owner);
+  }
+  return {out.begin(), out.end()};
+}
 
 const char* name_of(Scenario s) {
   switch (s) {
@@ -368,19 +383,28 @@ const char* name_of(Adversity a) {
     case Adversity::kNone: return "none";
     case Adversity::kCrash: return "crash";
     case Adversity::kPartition: return "partition";
+    case Adversity::kCorrupt: return "corrupt";
   }
   return "?";
 }
 
 TEST(ElasticClusterTest, PropertySweepSeedsByScenarioByAdversity) {
-  const auto queries = burst_around(county_query(), 20, 61);
-  const auto expected = control_cell_counts(queries);
+  const auto county = burst_around(county_query(), 20, 61);
+  const auto county_expected = control_cell_counts(county);
+  // The corruption case needs complete warm chunks in many moving
+  // partitions, so that transfer frames cross the corrupted links: a
+  // continent-wide burst warms partitions on every node.
+  AggregationQuery continent = county_query();
+  continent.area = continent.area.scaled(64.0);
+  const auto continent_burst = burst_around(continent, 20, 61);
+  const auto continent_expected = control_cell_counts(continent_burst);
 
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     for (const Scenario scenario :
          {Scenario::kScaleOut, Scenario::kScaleIn, Scenario::kAutoscale}) {
       for (const Adversity adversity :
-           {Adversity::kNone, Adversity::kCrash, Adversity::kPartition}) {
+           {Adversity::kNone, Adversity::kCrash, Adversity::kPartition,
+            Adversity::kCorrupt}) {
         const std::string context = std::string(name_of(scenario)) + "/" +
                                     name_of(adversity) + "/seed" +
                                     std::to_string(seed);
@@ -389,19 +413,25 @@ TEST(ElasticClusterTest, PropertySweepSeedsByScenarioByAdversity) {
         // `mover` is the node whose membership changes — and the one the
         // adversity targets mid-transfer.
         NodeId mover = 0;
+        // The nodes that receive moved partitions in the first epoch
+        // change (the rebalance frame leg's receivers).
+        std::vector<NodeId> new_owners;
         switch (scenario) {
           case Scenario::kScaleOut:
             mover = 3;
+            new_owners = gaining_owners({0, 1, 2}, {0, 1, 2, 3});
             config.fault_plan.joins.push_back(
                 {.node = mover, .at = 100 * kMillisecond});
             break;
           case Scenario::kScaleIn:
             mover = 2;
+            new_owners = gaining_owners({0, 1, 2}, {0, 1});
             config.fault_plan.decommissions.push_back(
                 {.node = mover, .at = 100 * kMillisecond});
             break;
           case Scenario::kAutoscale:
             mover = 1;  // an established member weathers the adversity
+            new_owners = gaining_owners({0, 1, 2}, {0, 1, 2, 3});
             config.autoscale.enabled = true;
             config.autoscale.eval_interval = 50 * kMillisecond;
             config.autoscale.high_queue = 3;
@@ -427,8 +457,24 @@ TEST(ElasticClusterTest, PropertySweepSeedsByScenarioByAdversity) {
                  .heal_at = 900 * kMillisecond});
             break;
           }
+          case Adversity::kCorrupt:
+            // Bit-flips and tears on every link to and from the new
+            // owners: transfer frames are rejected by checksum, NACKed and
+            // redelivered, or poisoned and retried until the move flips.
+            for (const NodeId n : new_owners) {
+              config.fault_plan.links.push_back({.from = n,
+                                                 .corrupt_probability = 0.5,
+                                                 .truncate_probability = 0.5});
+              config.fault_plan.links.push_back({.to = n,
+                                                 .corrupt_probability = 0.5,
+                                                 .truncate_probability = 0.5});
+            }
+            break;
         }
 
+        const bool corrupt = adversity == Adversity::kCorrupt;
+        const auto& queries = corrupt ? continent_burst : county;
+        const auto& expected = corrupt ? continent_expected : county_expected;
         StashCluster cluster(config, shared_generator());
         const auto stats = cluster.run_open_loop(queries, 25 * kMillisecond);
         ASSERT_TRUE(cluster.run_until_stable(120 * kSecond)) << context;
@@ -459,6 +505,20 @@ TEST(ElasticClusterTest, PropertySweepSeedsByScenarioByAdversity) {
         const auto& m = cluster.metrics();
         if (m.rebalance_partitions_moved > 0) {
           EXPECT_GE(m.rebalance_epoch_advances, 1u) << context;
+        }
+
+        if (corrupt) {
+          // Corruption only slows the transfers: every move flipped (warm
+          // or cold), so each partition is served by its ring owner.
+          EXPECT_GT(m.rebalance_partitions_moved, 0u) << context;
+          EXPECT_GT(m.frame_integrity_failures, 0u) << context;
+          ZeroHopDht ring_owner(1, 2);
+          ring_owner.install({.epoch = cluster.ring().epoch + 1,
+                              .members = cluster.ring().members});
+          for (const auto& partition : ring_owner.all_partitions())
+            EXPECT_EQ(cluster.serving_owner(partition),
+                      ring_owner.node_for_partition(partition))
+                << context << ": partition " << partition << " never flipped";
         }
       }
     }

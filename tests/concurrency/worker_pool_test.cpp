@@ -253,7 +253,16 @@ TEST(ConcurrentWorkerPoolTest, ThrowingTasksAreQuarantined) {
       pool.submit([] { throw std::runtime_error("injected"); });
       pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    while (ran.load(std::memory_order_relaxed) < 8) std::this_thread::yield();
+    // A task counts as executed only after it returned or its throw was
+    // counted, so wait for all 16: the 8 that bump `ran` can finish while
+    // the other worker is still unwinding a throwing task.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (pool.total_stats().executed < 16u) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "tasks never finished executing";
+      std::this_thread::yield();
+    }
     const auto stats = pool.total_stats();
     EXPECT_EQ(stats.task_exceptions, 8u);
     EXPECT_EQ(stats.executed, 16u);  // throwing tasks still count as executed

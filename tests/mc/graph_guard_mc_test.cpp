@@ -1,10 +1,10 @@
-// Model-check of the ConcurrentStashGraph guard protocol over RwSpinlock.
+// Model-check of the graph guard protocol over RwSpinlock.
 //
-// core/concurrent_graph.hpp guards every mutable field with one
-// reader-writer capability: absorb paths take the writer lock and update
-// cells+totals together; query paths take the reader lock and must see a
-// consistent pair.  The thread-safety annotations prove acquisition
-// discipline at compile time; this test proves the part they cannot — that
+// exec::ParallelQueryEngine guards its StashGraph with one reader-writer
+// spinlock, ParallelQueryEngine::graph_lock_: absorb takes the writer lock
+// and updates cells+totals together; chunk tasks take the reader lock and
+// must see a consistent pair.  Thread-safety annotations check lock
+// acquisition at compile time; this test proves the part they cannot — that
 // the lock's acquire/release orders actually create the happens-before
 // edges the guard pattern assumes.  The var<T> race detector is the
 // oracle: if mutual exclusion or reader/writer ordering were broken, the
