@@ -1,6 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot inner operations:
 // geohash codec, edge derivation, DHT lookup, summary merge, graph
-// probe/insert, freshness updates, PLM completeness, and eviction sweeps.
+// probe/insert, freshness updates, PLM completeness, eviction sweeps, and
+// the disk-path layers: partition scan, chunk neighbourhood and canonical
+// answer encoding.
 
 #include <benchmark/benchmark.h>
 
@@ -11,14 +13,18 @@
 #include "core/graph.hpp"
 #include "core/plm.hpp"
 #include "dht/partitioner.hpp"
+#include "exec/wall_clock.hpp"
 #include "geo/geohash.hpp"
 #include "sim/fault.hpp"
+#include "storage/galileo_store.hpp"
 
 namespace stash {
 namespace {
 
 const TemporalBin kDay(TemporalRes::Day, 2015, 2, 2);
 const Resolution kRes6{6, TemporalRes::Day};
+/// A state-sized query rectangle (Kansas/Missouri), the scan_cold shape.
+const BoundingBox kStateBox{36.0, 40.0, -102.0, -94.0};
 
 void BM_GeohashEncode(benchmark::State& state) {
   Rng rng(1);
@@ -224,6 +230,37 @@ void BM_CodecDecodePayload(benchmark::State& state) {
     benchmark::DoNotOptimize(codec::decode_replication_payload(wire));
 }
 BENCHMARK(BM_CodecDecodePayload);
+
+void BM_ScanPartition(benchmark::State& state) {
+  // One partition-day of a state-sized box at (6, Day): the fused
+  // generate -> geohash bin -> Summary loop.  items/s is records/s.
+  const GalileoStore store(std::make_shared<const NamGenerator>());
+  std::size_t records = 0;
+  for (auto _ : state) {
+    const ScanResult r =
+        store.scan_partition("9y", kStateBox, kDay.range(), kRes6);
+    records += r.stats.records_scanned;
+    benchmark::DoNotOptimize(r.cells.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_ScanPartition);
+
+void BM_ChunkNeighbors(benchmark::State& state) {
+  const ChunkKey chunk("9q8y", kDay);
+  for (auto _ : state) benchmark::DoNotOptimize(chunk_neighbors(chunk));
+}
+BENCHMARK(BM_ChunkNeighbors);
+
+void BM_CanonicalAnswer(benchmark::State& state) {
+  // The answer of one state-sized (6, Day) query: ~2,200 cells.
+  const GalileoStore store(std::make_shared<const NamGenerator>());
+  const CellSummaryMap cells = store.scan(kStateBox, kDay.range(), kRes6).cells;
+  state.counters["cells"] = static_cast<double>(cells.size());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(exec::canonical_answer(cells));
+}
+BENCHMARK(BM_CanonicalAnswer);
 
 void BM_PredictorObservePredict(benchmark::State& state) {
   const AggregationQuery base{{38.0, 39.0, -99.0, -97.0},

@@ -1,6 +1,7 @@
 #include "common/codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -20,31 +21,97 @@ void reserve_bounded(Vec& vec, std::uint64_t claimed, const Reader& in) {
       std::min<std::uint64_t>(claimed, in.remaining())));
 }
 
+/// Writes the little-endian bytes of `value` at `at`; returns the byte
+/// past them.  Every fixed-width field of the format goes through here.
+template <typename UInt>
+std::uint8_t* write_le(std::uint8_t* at, UInt value) noexcept {
+  for (std::size_t i = 0; i < sizeof(UInt); ++i)
+    at[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  return at + sizeof(UInt);
+}
+
+std::uint8_t* write_varint(std::uint8_t* at, std::uint64_t value) noexcept {
+  while (value >= 0x80) {
+    *at++ = static_cast<std::uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *at++ = static_cast<std::uint8_t>(value);
+  return at;
+}
+
+std::size_t varint_size(std::uint64_t value) noexcept {
+  std::size_t n = 1;
+  for (; value >= 0x80; value >>= 7) ++n;
+  return n;
+}
+
+constexpr std::size_t kCellKeyBytes = 8 + 4;
+
+std::uint8_t* write_key(std::uint8_t* at, const CellKey& key) noexcept {
+  return write_le(write_le(at, key.spatial), key.temporal);
+}
+
+std::size_t attribute_size(const AttributeSummary& summary) noexcept {
+  return varint_size(summary.count) + (summary.count == 0 ? 0 : 4 * 8);
+}
+
+std::uint8_t* write_attribute(std::uint8_t* at,
+                              const AttributeSummary& summary) noexcept {
+  at = write_varint(at, summary.count);
+  if (summary.count == 0) return at;
+  at = write_le(at, std::bit_cast<std::uint64_t>(summary.min));
+  at = write_le(at, std::bit_cast<std::uint64_t>(summary.max));
+  at = write_le(at, std::bit_cast<std::uint64_t>(summary.sum));
+  return write_le(at, std::bit_cast<std::uint64_t>(summary.sum_sq));
+}
+
+std::size_t summary_size(const Summary& summary) noexcept {
+  std::size_t n = varint_size(summary.num_attributes());
+  for (const auto& attr : summary.attributes()) n += attribute_size(attr);
+  return n;
+}
+
+std::uint8_t* write_summary(std::uint8_t* at, const Summary& summary) noexcept {
+  at = write_varint(at, summary.num_attributes());
+  for (const auto& attr : summary.attributes()) at = write_attribute(at, attr);
+  return at;
+}
+
+/// Appends an object of `size` bytes written in place by `write`: one
+/// resize per object instead of one append per field.
+template <typename Write>
+void append(Buffer& out, std::size_t size, Write&& write) {
+  const std::size_t at = out.size();
+  out.resize(at + size);
+  write(out.data() + at);
+}
+
 }  // namespace
 
 void put_varint(Buffer& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
+  append(out, varint_size(value),
+         [&](std::uint8_t* at) { write_varint(at, value); });
 }
 
 void put_u32(Buffer& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  append(out, 4, [&](std::uint8_t* at) { write_le(at, value); });
 }
 
 void put_u64(Buffer& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  append(out, 8, [&](std::uint8_t* at) { write_le(at, value); });
 }
 
 void put_double(Buffer& out, double value) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
+  put_u64(out, std::bit_cast<std::uint64_t>(value));
+}
+
+std::size_t encoded_size(const CellKey&, const Summary& summary) noexcept {
+  return kCellKeyBytes + summary_size(summary);
+}
+
+std::uint8_t* write_cell(std::uint8_t* at, const CellKey& key,
+                         const Summary& summary) noexcept {
+  return write_summary(write_key(at, key), summary);
 }
 
 void Reader::need(std::size_t n) const {
@@ -89,8 +156,7 @@ double Reader::f64() {
 }
 
 void encode(Buffer& out, const CellKey& key) {
-  put_u64(out, key.spatial);
-  put_u32(out, key.temporal);
+  append(out, kCellKeyBytes, [&](std::uint8_t* at) { write_key(at, key); });
 }
 
 CellKey decode_cell_key(Reader& in) {
@@ -104,12 +170,8 @@ CellKey decode_cell_key(Reader& in) {
 }
 
 void encode(Buffer& out, const AttributeSummary& summary) {
-  put_varint(out, summary.count);
-  if (summary.count == 0) return;
-  put_double(out, summary.min);
-  put_double(out, summary.max);
-  put_double(out, summary.sum);
-  put_double(out, summary.sum_sq);
+  append(out, attribute_size(summary),
+         [&](std::uint8_t* at) { write_attribute(at, summary); });
 }
 
 AttributeSummary decode_attribute_summary(Reader& in) {
@@ -124,8 +186,8 @@ AttributeSummary decode_attribute_summary(Reader& in) {
 }
 
 void encode(Buffer& out, const Summary& summary) {
-  put_varint(out, summary.num_attributes());
-  for (const auto& attr : summary.attributes()) encode(out, attr);
+  append(out, summary_size(summary),
+         [&](std::uint8_t* at) { write_summary(at, summary); });
 }
 
 Summary decode_summary(Reader& in) {
@@ -147,10 +209,9 @@ void encode(Buffer& out, const ChunkContribution& contribution) {
   for (std::int64_t day : contribution.days)
     put_varint(out, static_cast<std::uint64_t>(day));
   put_varint(out, contribution.cells.size());
-  for (const auto& [key, summary] : contribution.cells) {
-    encode(out, key);
-    encode(out, summary);
-  }
+  for (const auto& [key, summary] : contribution.cells)
+    append(out, encoded_size(key, summary),
+           [&](std::uint8_t* at) { write_cell(at, key, summary); });
 }
 
 ChunkContribution decode_chunk_contribution(Reader& in) {

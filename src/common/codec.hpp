@@ -58,6 +58,17 @@ class Reader {
 };
 
 // --- STASH objects ---
+// Objects are sized first and then written in place, one resize each.
+
+/// One cell record as answers and contributions carry it: key, then
+/// summary.  `write_cell` writes it at `at`, which must have
+/// encoded_size(key, summary) bytes, and returns the byte past it —
+/// callers encoding many cells size their buffer once.
+[[nodiscard]] std::size_t encoded_size(const CellKey& key,
+                                       const Summary& summary) noexcept;
+std::uint8_t* write_cell(std::uint8_t* at, const CellKey& key,
+                         const Summary& summary) noexcept;
+
 void encode(Buffer& out, const CellKey& key);
 [[nodiscard]] CellKey decode_cell_key(Reader& in);
 

@@ -30,9 +30,15 @@ namespace stash {
   return h;
 }
 
+/// hash_combine of a value already passed through mix64: callers folding
+/// one value into many seeds mix it once.
+inline void hash_combine_mixed(std::uint64_t& seed, std::uint64_t mixed) noexcept {
+  seed ^= mixed + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+}
+
 /// boost-style hash_combine with a 64-bit mixer.
 inline void hash_combine(std::uint64_t& seed, std::uint64_t value) noexcept {
-  seed ^= mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+  hash_combine_mixed(seed, mix64(value));
 }
 
 }  // namespace stash

@@ -5,11 +5,12 @@ namespace stash {
 std::vector<ChunkKey> chunk_neighbors(const ChunkKey& key) {
   std::vector<ChunkKey> out;
   out.reserve(10);
-  const std::string prefix = key.prefix_str();
+  for (geohash::Direction d : geohash::kAllDirections)
+    if (const auto n = geohash::neighbor_packed(key.prefix, d))
+      out.emplace_back(*n, key.temporal);
   const TemporalBin bin = key.bin();
-  for (const auto& n : geohash::neighbors(prefix)) out.emplace_back(n, bin);
-  out.emplace_back(prefix, bin.prev());
-  out.emplace_back(prefix, bin.next());
+  out.emplace_back(key.prefix, bin.prev().pack());
+  out.emplace_back(key.prefix, bin.next().pack());
   return out;
 }
 

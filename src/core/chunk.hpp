@@ -27,11 +27,13 @@ struct ChunkKey {
   ChunkKey() = default;
   ChunkKey(std::string_view prefix_gh, const TemporalBin& bin)
       : prefix(geohash::pack(prefix_gh)), temporal(bin.pack()) {}
+  ChunkKey(std::uint64_t packed_prefix, std::uint32_t packed_bin)
+      : prefix(packed_prefix), temporal(packed_bin) {}
 
   [[nodiscard]] std::string prefix_str() const { return geohash::unpack(prefix); }
   [[nodiscard]] TemporalBin bin() const { return TemporalBin::unpack(temporal); }
   [[nodiscard]] BoundingBox bounds() const {
-    return geohash::decode(prefix_str());
+    return geohash::decode_packed(prefix);
   }
   [[nodiscard]] std::string label() const {
     return prefix_str() + "@" + bin().label();

@@ -136,6 +136,7 @@ std::size_t StashGraph::touch_region(const Resolution& res,
                                      const std::vector<ChunkKey>& accessed,
                                      sim::SimTime now) {
   auto& level = level_of(res);
+  if (level.empty()) return 0;  // nothing resident to refresh or disperse to
   std::size_t updates = 0;
   for (const auto& chunk : accessed) {
     const auto it = level.find(chunk);

@@ -28,13 +28,13 @@ QueryEngine::QueryEngine(StashGraph& graph, const GalileoStore& store)
 
 namespace {
 
-/// Appends `source` cells intersecting box × time into the response.
-void filter_into(const CellSummaryMap& source, const BoundingBox& box,
+/// Moves `source` cells intersecting box × time into the response.
+void filter_into(CellSummaryMap&& source, const BoundingBox& box,
                  const TimeRange& time, CellSummaryMap& out) {
-  for (const auto& [key, summary] : source) {
+  for (auto& [key, summary] : source) {
     if (!key.bounds().intersects(box)) continue;
     if (!key.time_range().intersects(time)) continue;
-    auto [it, inserted] = out.try_emplace(key, summary);
+    auto [it, inserted] = out.try_emplace(key, std::move(summary));
     if (!inserted) it->second.merge(summary);
   }
 }
@@ -139,7 +139,7 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
     if (!graph_.chunk_known(query.res, chunk)) {
       if (auto synth = synthesize(query.res, chunk, result.breakdown)) {
         CellSummaryMap synth_map(synth->cells.begin(), synth->cells.end());
-        filter_into(synth_map, clipped, query.time, out_cells);
+        filter_into(std::move(synth_map), clipped, query.time, out_cells);
         result.breakdown.cells_synthesized += synth->cells.size();
         ++result.breakdown.chunks_synthesized;
         result.fetched = std::move(*synth);
@@ -205,16 +205,20 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
   }
   result.breakdown.cells_scanned += scanned.size();
   ++result.breakdown.chunks_scanned;
+  if (mode == EvalMode::Basic) {
+    // Nothing resident and nothing to absorb: the scan is the response.
+    filter_into(std::move(scanned), clipped, query.time, out_cells);
+    return result;
+  }
   contribution.cells.assign(scanned.begin(), scanned.end());
-  if (mode != EvalMode::Basic && !contribution.days.empty())
-    result.fetched = std::move(contribution);
+  if (!contribution.days.empty()) result.fetched = std::move(contribution);
 
   // Response = resident partial + freshly scanned, filtered to query.
-  for (const auto& [key, summary] : scanned) {
-    auto [it, inserted] = local.try_emplace(key, summary);
+  for (auto& [key, summary] : scanned) {
+    auto [it, inserted] = local.try_emplace(key, std::move(summary));
     if (!inserted) it->second.merge(summary);
   }
-  filter_into(local, clipped, query.time, out_cells);
+  filter_into(std::move(local), clipped, query.time, out_cells);
   return result;
 }
 

@@ -9,16 +9,25 @@
 namespace stash::exec {
 
 codec::Buffer canonical_answer(const CellSummaryMap& cells) {
-  std::vector<const std::pair<const CellKey, Summary>*> sorted;
+  // Keys are copied next to their summary pointers so the sort compares
+  // contiguous values, and the answer is sized once and written in place.
+  struct Entry {
+    CellKey key;
+    const Summary* summary;
+  };
+  std::vector<Entry> sorted;
   sorted.reserve(cells.size());
-  for (const auto& entry : cells) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  codec::Buffer out;
-  for (const auto* entry : sorted) {
-    codec::encode(out, entry->first);
-    codec::encode(out, entry->second);
+  std::size_t size = 0;
+  for (const auto& [key, summary] : cells) {
+    sorted.push_back({key, &summary});
+    size += codec::encoded_size(key, summary);
   }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  codec::Buffer out(size);
+  std::uint8_t* at = out.data();
+  for (const Entry& entry : sorted)
+    at = codec::write_cell(at, entry.key, *entry.summary);
   return out;
 }
 

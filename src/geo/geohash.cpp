@@ -32,6 +32,20 @@ void check_valid(std::string_view gh) {
 constexpr int lng_bits(int precision) noexcept { return (5 * precision + 1) / 2; }
 constexpr int lat_bits(int precision) noexcept { return (5 * precision) / 2; }
 
+/// The low `length` bits of `packed`, after checking its length nibble.
+/// Bits above the packed characters must be zero, or two different keys
+/// alias the same hash (and pack(unpack(x)) != x) — rejecting them keeps
+/// the wire decoder strict.  Found by the pack/unpack fuzz harness.
+std::uint64_t packed_bits(std::uint64_t packed, int& length) {
+  length = static_cast<int>(packed >> 60);
+  if (length < 1 || length > kMaxPrecision)
+    throw std::invalid_argument("geohash: bad packed length nibble");
+  const std::uint64_t bits = packed & ((1ULL << 60) - 1);
+  if ((bits >> (5 * length)) != 0)
+    throw std::invalid_argument("geohash: garbage bits above packed length");
+  return bits;
+}
+
 }  // namespace
 
 bool is_valid(std::string_view gh) noexcept {
@@ -53,65 +67,12 @@ std::string encode(const LatLng& point, int precision) {
   if (!(point.lat >= -90.0 && point.lat <= 90.0 && point.lng >= -180.0 &&
         point.lng <= 180.0))
     throw std::invalid_argument("geohash::encode: point out of range");
-
-  double lat_lo = -90.0, lat_hi = 90.0;
-  double lng_lo = -180.0, lng_hi = 180.0;
-  std::string out;
-  out.reserve(static_cast<std::size_t>(precision));
-  bool even = true;  // even bit positions refine longitude
-  int bit = 0;
-  int value = 0;
-  while (out.size() < static_cast<std::size_t>(precision)) {
-    if (even) {
-      const double mid = (lng_lo + lng_hi) / 2.0;
-      if (point.lng >= mid) {
-        value = value * 2 + 1;
-        lng_lo = mid;
-      } else {
-        value *= 2;
-        lng_hi = mid;
-      }
-    } else {
-      const double mid = (lat_lo + lat_hi) / 2.0;
-      if (point.lat >= mid) {
-        value = value * 2 + 1;
-        lat_lo = mid;
-      } else {
-        value *= 2;
-        lat_hi = mid;
-      }
-    }
-    even = !even;
-    if (++bit == 5) {
-      out.push_back(kAlphabet[static_cast<std::size_t>(value)]);
-      bit = 0;
-      value = 0;
-    }
-  }
-  return out;
+  return unpack(pack_index(
+      {lat_index(point.lat, precision), lng_index(point.lng, precision)},
+      precision));
 }
 
-BoundingBox decode(std::string_view gh) {
-  check_valid(gh);
-  double lat_lo = -90.0, lat_hi = 90.0;
-  double lng_lo = -180.0, lng_hi = 180.0;
-  bool even = true;
-  for (char c : gh) {
-    const int value = char_value(c);
-    for (int b = 4; b >= 0; --b) {
-      const int bit = (value >> b) & 1;
-      if (even) {
-        const double mid = (lng_lo + lng_hi) / 2.0;
-        (bit != 0 ? lng_lo : lng_hi) = mid;
-      } else {
-        const double mid = (lat_lo + lat_hi) / 2.0;
-        (bit != 0 ? lat_lo : lat_hi) = mid;
-      }
-      even = !even;
-    }
-  }
-  return {lat_lo, lat_hi, lng_lo, lng_hi};
-}
+BoundingBox decode(std::string_view gh) { return decode_packed(pack(gh)); }
 
 LatLng decode_center(std::string_view gh) { return decode(gh).center(); }
 
@@ -144,26 +105,9 @@ std::vector<std::string> children(std::string_view gh) {
 }
 
 std::optional<std::string> neighbor(std::string_view gh, Direction dir) {
-  const BoundingBox box = decode(gh);
-  const LatLng c = box.center();
-  double dlat = 0.0;
-  double dlng = 0.0;
-  switch (dir) {
-    case Direction::N: dlat = 1; break;
-    case Direction::NE: dlat = 1; dlng = 1; break;
-    case Direction::E: dlng = 1; break;
-    case Direction::SE: dlat = -1; dlng = 1; break;
-    case Direction::S: dlat = -1; break;
-    case Direction::SW: dlat = -1; dlng = -1; break;
-    case Direction::W: dlng = -1; break;
-    case Direction::NW: dlat = 1; dlng = -1; break;
-  }
-  double lat = c.lat + dlat * box.height();
-  if (lat > 90.0 || lat < -90.0) return std::nullopt;  // would cross a pole
-  double lng = c.lng + dlng * box.width();
-  if (lng >= 180.0) lng -= 360.0;
-  if (lng < -180.0) lng += 360.0;
-  return encode({lat, lng}, static_cast<int>(gh.size()));
+  const auto n = neighbor_packed(pack(gh), dir);
+  if (!n) return std::nullopt;
+  return unpack(*n);
 }
 
 std::vector<std::string> neighbors(std::string_view gh) {
@@ -222,13 +166,11 @@ std::vector<std::string> covering(const BoundingBox& box, int precision) {
 
   std::vector<std::string> out;
   out.reserve(static_cast<std::size_t>(lat_r.count() * lng_r.count()));
-  for (std::int64_t i = lat_r.lo; i <= lat_r.hi; ++i) {
-    const double lat = -90.0 + (static_cast<double>(i) + 0.5) * h;
-    for (std::int64_t j = lng_r.lo; j <= lng_r.hi; ++j) {
-      const double lng = -180.0 + (static_cast<double>(j) + 0.5) * w;
-      out.push_back(encode({lat, lng}, precision));
-    }
-  }
+  for (std::int64_t i = lat_r.lo; i <= lat_r.hi; ++i)
+    for (std::int64_t j = lng_r.lo; j <= lng_r.hi; ++j)
+      out.push_back(unpack(pack_index(
+          {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)},
+          precision)));
   return out;
 }
 
@@ -254,21 +196,133 @@ std::uint64_t pack(std::string_view gh) {
 }
 
 std::string unpack(std::uint64_t packed) {
-  const auto len = static_cast<std::size_t>(packed >> 60);
-  if (len == 0 || len > static_cast<std::size_t>(kMaxPrecision))
-    throw std::invalid_argument("geohash::unpack: bad length nibble");
-  std::string out(len, '0');
-  std::uint64_t bits = packed & ((1ULL << 60) - 1);
-  for (std::size_t i = len; i-- > 0;) {
+  int length = 0;
+  std::uint64_t bits = packed_bits(packed, length);
+  std::string out(static_cast<std::size_t>(length), '0');
+  for (auto i = static_cast<std::size_t>(length); i-- > 0;) {
     out[i] = kAlphabet[static_cast<std::size_t>(bits & 31)];
     bits >>= 5;
   }
-  // Bits above the packed characters must be zero, or two different keys
-  // alias the same hash (and pack(unpack(x)) != x) — rejecting them keeps
-  // the wire decoder strict.  Found by the pack/unpack fuzz harness.
-  if (bits != 0)
-    throw std::invalid_argument("geohash::unpack: garbage bits above length");
   return out;
+}
+
+namespace {
+
+/// Moves bit i of `v` to bit 2i.
+constexpr std::uint64_t spread_bits(std::uint32_t v) noexcept {
+  std::uint64_t x = v;
+  x = (x | (x << 16)) & 0x0000ffff0000ffffULL;
+  x = (x | (x << 8)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | (x << 2)) & 0x3333333333333333ULL;
+  x = (x | (x << 1)) & 0x5555555555555555ULL;
+  return x;
+}
+
+/// Inverse of spread_bits: bit 2i of `x` to bit i.
+constexpr std::uint32_t compact_bits(std::uint64_t x) noexcept {
+  x &= 0x5555555555555555ULL;
+  x = (x | (x >> 1)) & 0x3333333333333333ULL;
+  x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | (x >> 4)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x >> 8)) & 0x0000ffff0000ffffULL;
+  x = (x | (x >> 16)) & 0x00000000ffffffffULL;
+  return static_cast<std::uint32_t>(x);
+}
+
+/// The first geohash bit is a longitude bit, so the last (least
+/// significant) is a longitude bit exactly when 5 * precision is odd:
+/// longitude bit i then sits at 2i, else at 2i + 1; latitude fills the rest.
+constexpr int lng_shift(int precision) noexcept { return (5 * precision + 1) % 2; }
+
+/// Index of the cell holding `x` among 2^bits equal cells of [lo, hi].
+std::uint32_t bisect(double x, double lo, double hi, int bits) noexcept {
+  std::uint32_t index = 0;
+  for (int b = 0; b < bits; ++b) {
+    const double mid = (lo + hi) / 2.0;
+    if (x >= mid) {
+      index = index * 2 + 1;
+      lo = mid;
+    } else {
+      index *= 2;
+      hi = mid;
+    }
+  }
+  return index;
+}
+
+void check_precision(int precision) {
+  if (precision < 1 || precision > kMaxPrecision)
+    throw std::invalid_argument("geohash: precision out of range");
+}
+
+}  // namespace
+
+std::uint32_t lat_index(double lat, int precision) {
+  check_precision(precision);
+  return bisect(lat, -90.0, 90.0, lat_bits(precision));
+}
+
+std::uint32_t lng_index(double lng, int precision) {
+  check_precision(precision);
+  return bisect(lng, -180.0, 180.0, lng_bits(precision));
+}
+
+std::uint64_t pack_index(CellIndex index, int precision) {
+  check_precision(precision);
+  if ((index.lat >> lat_bits(precision)) != 0 ||
+      (index.lng >> lng_bits(precision)) != 0)
+    throw std::invalid_argument("geohash::pack_index: index out of range");
+  const int s = lng_shift(precision);
+  return (static_cast<std::uint64_t>(precision) << 60) |
+         (spread_bits(index.lng) << s) | (spread_bits(index.lat) << (1 - s));
+}
+
+CellIndex unpack_index(std::uint64_t packed) {
+  int precision = 0;
+  const std::uint64_t bits = packed_bits(packed, precision);
+  const int s = lng_shift(precision);
+  return {compact_bits(bits >> (1 - s)), compact_bits(bits >> s)};
+}
+
+BoundingBox decode_packed(std::uint64_t packed) {
+  const CellIndex index = unpack_index(packed);
+  const auto precision = static_cast<int>(packed >> 60);
+  // Exact: every bisection midpoint is a multiple of the cell size with
+  // at most 31 significant bits, so these products and sums are the very
+  // doubles the bisection reaches.
+  const double h = cell_height_deg(precision);
+  const double w = cell_width_deg(precision);
+  return {-90.0 + static_cast<double>(index.lat) * h,
+          -90.0 + static_cast<double>(index.lat + 1) * h,
+          -180.0 + static_cast<double>(index.lng) * w,
+          -180.0 + static_cast<double>(index.lng + 1) * w};
+}
+
+std::optional<std::uint64_t> neighbor_packed(std::uint64_t packed,
+                                             Direction dir) {
+  const CellIndex index = unpack_index(packed);
+  const auto precision = static_cast<int>(packed >> 60);
+  std::int64_t dlat = 0;
+  std::int64_t dlng = 0;
+  switch (dir) {
+    case Direction::N: dlat = 1; break;
+    case Direction::NE: dlat = 1; dlng = 1; break;
+    case Direction::E: dlng = 1; break;
+    case Direction::SE: dlat = -1; dlng = 1; break;
+    case Direction::S: dlat = -1; break;
+    case Direction::SW: dlat = -1; dlng = -1; break;
+    case Direction::W: dlng = -1; break;
+    case Direction::NW: dlat = 1; dlng = -1; break;
+  }
+  const std::int64_t rows = std::int64_t{1} << lat_bits(precision);
+  const std::int64_t cols = std::int64_t{1} << lng_bits(precision);
+  const std::int64_t lat = index.lat + dlat;
+  if (lat < 0 || lat >= rows) return std::nullopt;  // would cross a pole
+  const std::int64_t lng = (index.lng + dlng + cols) % cols;  // antimeridian
+  return pack_index(
+      {static_cast<std::uint32_t>(lat), static_cast<std::uint32_t>(lng)},
+      precision);
 }
 
 }  // namespace stash::geohash

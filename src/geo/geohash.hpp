@@ -75,4 +75,33 @@ inline constexpr std::array<Direction, 8> kAllDirections = {
 [[nodiscard]] std::uint64_t pack(std::string_view gh);
 [[nodiscard]] std::string unpack(std::uint64_t packed);
 
+// --- packed geometry ---
+// A geohash's bits interleave a longitude index (even bit positions) with
+// a latitude index (odd ones).  The functions below work on those integer
+// indices directly, so the hot paths never build a string.
+
+/// Integer coordinates of a cell at its precision: `lat` counts rows
+/// south→north, `lng` columns west→east.
+struct CellIndex {
+  std::uint32_t lat = 0;
+  std::uint32_t lng = 0;
+};
+
+/// Row / column of the cell holding a coordinate in [-90, 90] / [-180, 180],
+/// found by the same bisection comparisons `encode` makes.
+[[nodiscard]] std::uint32_t lat_index(double lat, int precision);
+[[nodiscard]] std::uint32_t lng_index(double lng, int precision);
+
+/// Packed key (the `pack` format) of the cell at `index`.  Separable: the
+/// key of {lat, lng} is the key of {lat, 0} OR the key of {0, lng}.
+[[nodiscard]] std::uint64_t pack_index(CellIndex index, int precision);
+/// Inverse of pack_index; throws std::invalid_argument on a malformed key.
+[[nodiscard]] CellIndex unpack_index(std::uint64_t packed);
+
+/// `decode` of a packed key.
+[[nodiscard]] BoundingBox decode_packed(std::uint64_t packed);
+/// `neighbor` of a packed key: empty past a pole, wrapped at ±180°.
+[[nodiscard]] std::optional<std::uint64_t> neighbor_packed(std::uint64_t packed,
+                                                           Direction dir);
+
 }  // namespace stash::geohash

@@ -1,5 +1,6 @@
 #include "model/nam_generator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -10,14 +11,15 @@
 namespace stash {
 namespace {
 
-/// Deterministic unit-interval noise from a record's identity.
-double noise01(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-               std::uint64_t c, std::uint64_t d) {
+/// Deterministic unit-interval noise from a record's identity (the grid
+/// indices, day and slot, each pre-mixed once for all four draws).
+double noise01(std::uint64_t seed, const NamGenerator::Axis& lat,
+               const NamGenerator::Axis& lng, const NamGenerator::Slot& slot) {
   std::uint64_t h = seed;
-  hash_combine(h, a);
-  hash_combine(h, b);
-  hash_combine(h, c);
-  hash_combine(h, d);
+  hash_combine_mixed(h, lat.mixed);
+  hash_combine_mixed(h, lng.mixed);
+  hash_combine_mixed(h, slot.day_mixed);
+  hash_combine_mixed(h, slot.slot_mixed);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
@@ -32,7 +34,8 @@ NamGenerator::NamGenerator(NamGeneratorConfig config) : config_(config) {
     throw std::invalid_argument("NamGenerator: invalid coverage box");
 }
 
-NamGenerator::GridRange NamGenerator::lat_range(double lo, double hi) const noexcept {
+NamGenerator::GridRange NamGenerator::axis_range(double lo,
+                                                 double hi) const noexcept {
   const double step = config_.grid_spacing_deg;
   GridRange r;
   r.lo = static_cast<std::int64_t>(std::ceil(lo / step));
@@ -44,51 +47,85 @@ NamGenerator::GridRange NamGenerator::lat_range(double lo, double hi) const noex
   return r;
 }
 
-NamGenerator::GridRange NamGenerator::lng_range(double lo, double hi) const noexcept {
-  return lat_range(lo, hi);  // same axis-independent arithmetic
+NamGenerator::Axis NamGenerator::lat_axis(std::int64_t lat_idx) const noexcept {
+  return {lat_idx, static_cast<double>(lat_idx) * config_.grid_spacing_deg,
+          mix64(static_cast<std::uint64_t>(lat_idx))};
+}
+
+NamGenerator::Axis NamGenerator::lng_axis(std::int64_t lng_idx) const noexcept {
+  return lat_axis(lng_idx);  // same axis-independent arithmetic
+}
+
+NamGenerator::Slot NamGenerator::slot(std::int64_t day, int synoptic_slot,
+                                      std::uint64_t seed_mix) const {
+  const int hour = synoptic_slot * (24 / config_.observations_per_day);
+  const CivilDate date = civil_from_days(day);
+  const double day_of_year = static_cast<double>(days_from_civil(date) -
+                                                 days_from_civil({date.year, 1, 1}));
+  constexpr double kTau = 2.0 * std::numbers::pi;
+  Slot s;
+  s.timestamp = day * 86400 + hour * 3600;
+  // Season phase peaks in early July in the northern hemisphere.
+  s.season = std::cos(kTau * (day_of_year - 186.0) / 365.0);
+  s.diurnal = std::cos(kTau * (static_cast<double>(hour) - 15.0) / 24.0);
+  s.noise_seed = config_.seed + mix64(seed_mix);
+  s.day_mixed = mix64(static_cast<std::uint64_t>(day));
+  s.slot_mixed = mix64(static_cast<std::uint64_t>(synoptic_slot));
+  return s;
+}
+
+std::array<double, kNamAttributeCount> NamGenerator::values(
+    const Slot& slot, const Axis& lat, const Axis& lng) const noexcept {
+  const auto u = [&](std::uint64_t salt) {
+    return noise01(slot.noise_seed + salt, lat, lng, slot);
+  };
+  const double season = slot.season;
+  const double diurnal = slot.diurnal;
+  std::array<double, kNamAttributeCount> v;
+  // Surface temperature: warm equator, cold poles, seasonal + diurnal swing.
+  v[0] = 288.0 - 0.55 * std::fabs(lat.coord) + 12.0 * season +
+         5.0 * diurnal + 4.0 * (u(1) - 0.5);
+  // Relative humidity: anticorrelated with temperature anomaly, bounded.
+  v[1] = std::clamp(65.0 - 8.0 * season - 6.0 * diurnal + 30.0 * (u(2) - 0.5),
+                    0.0, 100.0);
+  // Precipitation: mostly zero, occasional events.
+  const double rain_draw = u(3);
+  v[2] = rain_draw > 0.8 ? (rain_draw - 0.8) * 60.0 : 0.0;
+  // Snow depth: only cold latitudes in cold season.
+  const double cold =
+      std::max(0.0, 0.02 * (std::fabs(lat.coord) - 35.0) * (1.0 - season));
+  v[3] = cold * u(4);
+  return v;
 }
 
 Observation NamGenerator::at(std::int64_t lat_idx, std::int64_t lng_idx,
                              std::int64_t day, int synoptic_slot,
                              std::uint64_t seed_mix) const {
-  const double step = config_.grid_spacing_deg;
-  const double lat = static_cast<double>(lat_idx) * step;
-  const double lng = static_cast<double>(lng_idx) * step;
-  const int hour = synoptic_slot * (24 / config_.observations_per_day);
-  const std::int64_t ts = day * 86400 + hour * 3600;
+  const Slot s = slot(day, synoptic_slot, seed_mix);
+  const Axis lat = lat_axis(lat_idx);
+  const Axis lng = lng_axis(lng_idx);
+  return {{lat.coord, lng.coord}, s.timestamp, values(s, lat, lng)};
+}
 
-  const CivilDate date = civil_from_days(day);
-  const double day_of_year = static_cast<double>(days_from_civil(date) -
-                                                 days_from_civil({date.year, 1, 1}));
-  constexpr double kTau = 2.0 * std::numbers::pi;
-  // Season phase peaks in early July in the northern hemisphere.
-  const double season = std::cos(kTau * (day_of_year - 186.0) / 365.0);
-  const double diurnal = std::cos(kTau * (static_cast<double>(hour) - 15.0) / 24.0);
+NamGenerator::Grid NamGenerator::grid(const BoundingBox& region,
+                                      const TimeRange& time,
+                                      std::uint64_t seed_mix) const {
+  Grid g;
+  if (!region.valid() || !time.valid()) return g;
+  const BoundingBox box = region.intersection(config_.coverage);
+  if (!box.valid() || time.begin >= time.end) return g;
+  g.lats = axis_range(box.lat_min, box.lat_max);
+  g.lngs = axis_range(box.lng_min, box.lng_max);
+  if (g.lats.size() == 0 || g.lngs.size() == 0) return g;
 
-  const auto u = [&](std::uint64_t salt) {
-    return noise01(config_.seed + salt + mix64(seed_mix),
-                   static_cast<std::uint64_t>(lat_idx),
-                   static_cast<std::uint64_t>(lng_idx),
-                   static_cast<std::uint64_t>(day),
-                   static_cast<std::uint64_t>(synoptic_slot));
-  };
-
-  Observation obs;
-  obs.position = {lat, lng};
-  obs.timestamp = ts;
-  // Surface temperature: warm equator, cold poles, seasonal + diurnal swing.
-  obs.values[0] = 288.0 - 0.55 * std::fabs(lat) + 12.0 * season +
-                  5.0 * diurnal + 4.0 * (u(1) - 0.5);
-  // Relative humidity: anticorrelated with temperature anomaly, bounded.
-  obs.values[1] =
-      std::clamp(65.0 - 8.0 * season - 6.0 * diurnal + 30.0 * (u(2) - 0.5), 0.0, 100.0);
-  // Precipitation: mostly zero, occasional events.
-  const double rain_draw = u(3);
-  obs.values[2] = rain_draw > 0.8 ? (rain_draw - 0.8) * 60.0 : 0.0;
-  // Snow depth: only cold latitudes in cold season.
-  const double cold = std::max(0.0, 0.02 * (std::fabs(lat) - 35.0) * (1.0 - season));
-  obs.values[3] = cold * u(4);
-  return obs;
+  const int hour_step = 24 / config_.observations_per_day;
+  const std::int64_t first_day = time.begin / 86400 - (time.begin % 86400 < 0 ? 1 : 0);
+  const std::int64_t last_day = (time.end - 1) / 86400;
+  for (std::int64_t day = first_day; day <= last_day; ++day)
+    for (int s = 0; s < config_.observations_per_day; ++s)
+      if (time.contains(day * 86400 + s * hour_step * 3600))
+        g.slots.push_back(slot(day, s, seed_mix));
+  return g;
 }
 
 ObservationList NamGenerator::generate(const BoundingBox& region,
@@ -96,25 +133,16 @@ ObservationList NamGenerator::generate(const BoundingBox& region,
                                        std::uint64_t seed_mix) const {
   if (!region.valid()) throw std::invalid_argument("NamGenerator: bad region");
   if (!time.valid()) throw std::invalid_argument("NamGenerator: bad time range");
-  const BoundingBox box = region.intersection(config_.coverage);
+  const Grid g = grid(region, time, seed_mix);
   ObservationList out;
-  if (!box.valid() || time.begin >= time.end) return out;
-
-  const GridRange lats = lat_range(box.lat_min, box.lat_max);
-  const GridRange lngs = lng_range(box.lng_min, box.lng_max);
-  if (lats.hi < lats.lo || lngs.hi < lngs.lo) return out;
-
-  const int hour_step = 24 / config_.observations_per_day;
-  const std::int64_t first_day = time.begin / 86400 - (time.begin % 86400 < 0 ? 1 : 0);
-  const std::int64_t last_day = (time.end - 1) / 86400;
-  out.reserve(count(region, time));
-  for (std::int64_t day = first_day; day <= last_day; ++day) {
-    for (int slot = 0; slot < config_.observations_per_day; ++slot) {
-      const std::int64_t ts = day * 86400 + slot * hour_step * 3600;
-      if (!time.contains(ts)) continue;
-      for (std::int64_t i = lats.lo; i <= lats.hi; ++i)
-        for (std::int64_t j = lngs.lo; j <= lngs.hi; ++j)
-          out.push_back(at(i, j, day, slot, seed_mix));
+  out.reserve(g.size());
+  for (const Slot& s : g.slots) {
+    for (std::int64_t i = g.lats.lo; i <= g.lats.hi; ++i) {
+      const Axis lat = lat_axis(i);
+      for (std::int64_t j = g.lngs.lo; j <= g.lngs.hi; ++j) {
+        const Axis lng = lng_axis(j);
+        out.push_back({{lat.coord, lng.coord}, s.timestamp, values(s, lat, lng)});
+      }
     }
   }
   return out;
@@ -122,23 +150,7 @@ ObservationList NamGenerator::generate(const BoundingBox& region,
 
 std::size_t NamGenerator::count(const BoundingBox& region,
                                 const TimeRange& time) const {
-  if (!region.valid() || !time.valid()) return 0;
-  const BoundingBox box = region.intersection(config_.coverage);
-  if (!box.valid() || time.begin >= time.end) return 0;
-  const GridRange lats = lat_range(box.lat_min, box.lat_max);
-  const GridRange lngs = lng_range(box.lng_min, box.lng_max);
-  if (lats.hi < lats.lo || lngs.hi < lngs.lo) return 0;
-  const auto points = static_cast<std::size_t>((lats.hi - lats.lo + 1) *
-                                               (lngs.hi - lngs.lo + 1));
-  const int hour_step = 24 / config_.observations_per_day;
-  const std::int64_t first_day =
-      time.begin / 86400 - (time.begin % 86400 < 0 ? 1 : 0);
-  const std::int64_t last_day = (time.end - 1) / 86400;
-  std::size_t slots = 0;
-  for (std::int64_t day = first_day; day <= last_day; ++day)
-    for (int slot = 0; slot < config_.observations_per_day; ++slot)
-      if (time.contains(day * 86400 + slot * hour_step * 3600)) ++slots;
-  return points * slots;
+  return grid(region, time).size();
 }
 
 }  // namespace stash

@@ -9,7 +9,9 @@
 // terabytes, and tests can assert exact cache-vs-disk equivalence.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "geo/latlng.hpp"
 #include "geo/temporal.hpp"
@@ -56,13 +58,65 @@ class NamGenerator {
                                std::int64_t day, int synoptic_slot,
                                std::uint64_t seed_mix = 0) const;
 
- private:
+  // --- the record formula, factored for callers that aggregate records
+  // without materialising them (GalileoStore::scan_partition).  `at` and
+  // `generate` evaluate records through the same pieces.
+
+  /// Inclusive range of grid indices along one axis; empty when hi < lo.
   struct GridRange {
     std::int64_t lo = 0;
-    std::int64_t hi = -1;  // inclusive
+    std::int64_t hi = -1;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return hi < lo ? 0 : static_cast<std::size_t>(hi - lo + 1);
+    }
   };
-  [[nodiscard]] GridRange lat_range(double lo, double hi) const noexcept;
-  [[nodiscard]] GridRange lng_range(double lo, double hi) const noexcept;
+
+  /// One grid row or column: its index, its coordinate in degrees, and the
+  /// index already mixed for the per-record noise hash.
+  struct Axis {
+    std::int64_t index = 0;
+    double coord = 0.0;
+    std::uint64_t mixed = 0;
+  };
+
+  /// One synoptic time of one day: the per-(day, slot) invariants of the
+  /// record formula, shared by every grid point.
+  struct Slot {
+    std::int64_t timestamp = 0;
+    double season = 0.0;
+    double diurnal = 0.0;
+    std::uint64_t noise_seed = 0;  ///< config seed + mix64(seed_mix)
+    std::uint64_t day_mixed = 0;
+    std::uint64_t slot_mixed = 0;
+  };
+
+  /// The records `generate` returns, as a grid: every slot × every row ×
+  /// every column, enumerated in that (slot, row, column) order.
+  struct Grid {
+    GridRange lats;
+    GridRange lngs;
+    std::vector<Slot> slots;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return slots.size() * lats.size() * lngs.size();
+    }
+  };
+
+  /// The grid of `generate(region, time, seed_mix)`; empty (not an error)
+  /// for an invalid or empty request.
+  [[nodiscard]] Grid grid(const BoundingBox& region, const TimeRange& time,
+                          std::uint64_t seed_mix = 0) const;
+
+  [[nodiscard]] Axis lat_axis(std::int64_t lat_idx) const noexcept;
+  [[nodiscard]] Axis lng_axis(std::int64_t lng_idx) const noexcept;
+  [[nodiscard]] Slot slot(std::int64_t day, int synoptic_slot,
+                          std::uint64_t seed_mix) const;
+
+  /// Attribute values of the record at (lat, lng) in `slot`.
+  [[nodiscard]] std::array<double, kNamAttributeCount> values(
+      const Slot& slot, const Axis& lat, const Axis& lng) const noexcept;
+
+ private:
+  [[nodiscard]] GridRange axis_range(double lo, double hi) const noexcept;
 
   NamGeneratorConfig config_;
 };

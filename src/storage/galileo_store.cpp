@@ -1,6 +1,7 @@
 #include "storage/galileo_store.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace stash {
@@ -12,6 +13,68 @@ GalileoStore::GalileoStore(std::shared_ptr<const NamGenerator> generator,
   if (prefix_len_ < 1 || prefix_len_ > geohash::kMaxPrecision)
     throw std::invalid_argument("GalileoStore: bad partition prefix length");
 }
+
+namespace {
+
+/// Bins every record of `grid` into `cells` at `res`, exactly as encoding
+/// each generated record's position and timestamp and adding its values
+/// would, without materialising a record or a geohash string:
+///   * geohash bits are separable, so a row's latitude bits and a column's
+///     longitude bits are found once, by the bisection `geohash::encode`
+///     runs, and OR-ed into the packed key;
+///   * the temporal bin is found once per slot;
+///   * records are visited in generate's (slot, row, column) order, so
+///     each cell's Summary adds the same values in the same order and the
+///     map sees the same insertion sequence.
+void aggregate(const NamGenerator& gen, const NamGenerator::Grid& grid,
+               const Resolution& res, CellSummaryMap& cells) {
+  if (grid.size() == 0) return;
+  std::vector<NamGenerator::Axis> rows;
+  std::vector<std::uint64_t> row_keys;
+  rows.reserve(grid.lats.size());
+  row_keys.reserve(grid.lats.size());
+  for (std::int64_t i = grid.lats.lo; i <= grid.lats.hi; ++i) {
+    rows.push_back(gen.lat_axis(i));
+    row_keys.push_back(geohash::pack_index(
+        {geohash::lat_index(rows.back().coord, res.spatial), 0}, res.spatial));
+  }
+  std::vector<NamGenerator::Axis> cols;
+  std::vector<std::uint64_t> col_keys;
+  cols.reserve(grid.lngs.size());
+  col_keys.reserve(grid.lngs.size());
+  for (std::int64_t j = grid.lngs.lo; j <= grid.lngs.hi; ++j) {
+    cols.push_back(gen.lng_axis(j));
+    col_keys.push_back(geohash::pack_index(
+        {0, geohash::lng_index(cols.back().coord, res.spatial)}, res.spatial));
+  }
+
+  // The cell each grid point falls in under the current slot's bin.  Map
+  // nodes never move, so the pointers survive rehashing; they are looked
+  // up again only when the bin changes (every slot at Hour, once per day
+  // at Day).
+  std::vector<Summary*> cell_of(rows.size() * cols.size());
+  std::optional<std::uint32_t> bound_bin;
+  for (const NamGenerator::Slot& slot : grid.slots) {
+    const std::uint32_t bin =
+        TemporalBin::of_timestamp(slot.timestamp, res.temporal).pack();
+    const bool rebind = bound_bin != bin;
+    bound_bin = bin;
+    Summary** cell = cell_of.data();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (std::size_t c = 0; c < cols.size(); ++c, ++cell) {
+        if (rebind)
+          *cell = &cells
+                       .try_emplace(CellKey(row_keys[r] | col_keys[c], bin),
+                                    kNamAttributeCount)
+                       .first->second;
+        const auto v = gen.values(slot, rows[r], cols[c]);
+        (*cell)->add_observation(v.data(), v.size());
+      }
+    }
+  }
+}
+
+}  // namespace
 
 ScanResult GalileoStore::scan_partition(std::string_view partition,
                                         const BoundingBox& region,
@@ -58,17 +121,12 @@ ScanResult GalileoStore::scan_partition(std::string_view partition,
       // version, so the records are plausible but wrong — silent corruption.
       version ^= rot->second;
     }
-    const ObservationList records =
-        generator_->generate(clipped, day_range, version);
+    const NamGenerator::Grid grid =
+        generator_->grid(clipped, day_range, version);
     ++out.stats.blocks_touched;
-    out.stats.records_scanned += records.size();
-    out.stats.bytes_read += records.size() * kObservationBytes;
-    for (const auto& obs : records) {
-      const CellKey key(geohash::encode(obs.position, res.spatial),
-                        TemporalBin::of_timestamp(obs.timestamp, res.temporal));
-      auto [it, inserted] = out.cells.try_emplace(key, kNamAttributeCount);
-      it->second.add_observation(obs.values.data(), obs.values.size());
-    }
+    out.stats.records_scanned += grid.size();
+    out.stats.bytes_read += grid.size() * kObservationBytes;
+    aggregate(*generator_, grid, res, out.cells);
   }
   return out;
 }

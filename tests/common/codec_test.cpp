@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
+#include "exec/wall_clock.hpp"
 
 namespace stash::codec {
 namespace {
@@ -45,6 +47,53 @@ TEST(CodecTest, FixedWidthRoundTrip) {
   EXPECT_EQ(reader.f64(), -273.15);
   EXPECT_EQ(reader.f64(), 0.0);
   EXPECT_TRUE(reader.done());
+}
+
+TEST(CodecTest, PrimitiveBytesArePinned) {
+  // The wire format is little-endian fixed-width ints / IEEE doubles and
+  // LEB128 varints; these exact bytes must never drift.
+  Buffer out;
+  put_u32(out, 0x01020304u);
+  put_u64(out, 0x0102030405060708ULL);
+  put_double(out, 1.5);  // 0x3ff8000000000000
+  put_double(out, -0.0);
+  put_varint(out, 0);
+  put_varint(out, 300);
+  put_varint(out, ~0ULL);
+  const Buffer want = {
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // 1.5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0x00,                                            // varint 0
+      0xac, 0x02,                                      // varint 300
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
+  EXPECT_EQ(out, want);
+}
+
+TEST(CodecTest, AnswerDigestIsPinned) {
+  // A fixed small answer — cells of two resolutions, an empty attribute,
+  // awkward doubles — whose canonical bytes were pinned before the bulk
+  // encoder replaced per-byte appends.
+  CellSummaryMap cells;
+  const TemporalBin hour(TemporalRes::Hour, 2015, 2, 2, 13);
+  for (std::size_t i = 0; i < 6; ++i) {
+    std::string gh = "9q8y";
+    gh.push_back(geohash::kAlphabet[i * 5]);
+    Summary s(4);
+    for (int k = 0; k <= static_cast<int>(i); ++k) {
+      const double obs[4] = {273.15 + 0.1 * k, -1.0 / (k + 3), 1e-300 * k,
+                             static_cast<double>(i) * 1e12};
+      s.add_observation(obs, 4);
+    }
+    cells.emplace(CellKey(gh, i % 2 == 0 ? kDay : hour), std::move(s));
+  }
+  std::vector<AttributeSummary> attrs(2);
+  attrs[0].count = attrs[1].count = 0;
+  cells.emplace(CellKey("dr5", kDay), Summary::from_attributes(attrs));
+  const Buffer bytes = exec::canonical_answer(cells);
+  EXPECT_EQ(bytes.size(), 885u);
+  EXPECT_EQ(exec::answer_digest(cells, kChecksumSeed), 0x19f53134bf9c254dULL);
 }
 
 TEST(CodecTest, TruncatedInputThrows) {

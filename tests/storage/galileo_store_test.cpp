@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/civil_time.hpp"
 #include "dht/partitioner.hpp"
 
@@ -275,6 +280,168 @@ TEST_F(GalileoStoreTest, ScrubFindsRotWithoutWaitingForQueries) {
 
 TEST_F(GalileoStoreTest, RotBlockValidatesPartitionKey) {
   EXPECT_THROW(store_.rot_block({"9q8", 0}), std::invalid_argument);
+}
+
+// --- fused scan vs the reference pipeline ---------------------------------
+
+/// GalileoStore::rot_block's salt (the perturbation a rotted block serves
+/// when verification is off).
+std::uint64_t rot_salt(const BlockKey& key) {
+  std::uint64_t salt = fnv1a(key.partition);
+  hash_combine(salt, static_cast<std::uint64_t>(key.day));
+  return salt == 0 ? 1 : salt;
+}
+
+/// scan_partition spelled out as a pipeline of public steps: generate each
+/// block's records, encode each position and timestamp, add each record
+/// to its cell.
+ScanResult reference_scan(const GalileoStore& store, const std::string& partition,
+                          const BoundingBox& region, const TimeRange& time,
+                          const Resolution& res) {
+  ScanResult out;
+  const BoundingBox clipped = region.intersection(geohash::decode(partition));
+  if (!clipped.valid() || time.begin >= time.end) return out;
+  const std::int64_t first_day =
+      time.begin / 86400 - (time.begin % 86400 < 0 ? 1 : 0);
+  for (std::int64_t day = first_day; day <= (time.end - 1) / 86400; ++day) {
+    const TimeRange day_range{std::max(time.begin, day * 86400),
+                              std::min(time.end, (day + 1) * 86400)};
+    const BlockKey block{partition, day};
+    std::uint64_t version = store.block_version(block);
+    if (store.block_rotted(block)) {
+      if (store.verify_checksums()) {
+        ++out.stats.blocks_touched;
+        ++out.stats.blocks_corrupt;
+        out.corrupt_blocks.push_back(block);
+        continue;
+      }
+      version ^= rot_salt(block);
+    }
+    const ObservationList records =
+        store.generator().generate(clipped, day_range, version);
+    ++out.stats.blocks_touched;
+    out.stats.records_scanned += records.size();
+    out.stats.bytes_read += records.size() * kObservationBytes;
+    for (const auto& obs : records) {
+      const CellKey key(geohash::encode(obs.position, res.spatial),
+                        TemporalBin::of_timestamp(obs.timestamp, res.temporal));
+      auto [it, inserted] = out.cells.try_emplace(key, kNamAttributeCount);
+      it->second.add_observation(obs.values.data(), obs.values.size());
+    }
+  }
+  return out;
+}
+
+void expect_same_scan(const ScanResult& got, const ScanResult& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.stats.blocks_touched, want.stats.blocks_touched) << what;
+  EXPECT_EQ(got.stats.records_scanned, want.stats.records_scanned) << what;
+  EXPECT_EQ(got.stats.bytes_read, want.stats.bytes_read) << what;
+  EXPECT_EQ(got.stats.blocks_corrupt, want.stats.blocks_corrupt) << what;
+  EXPECT_EQ(got.corrupt_blocks, want.corrupt_blocks) << what;
+  EXPECT_EQ(got.cells.size(), want.cells.size()) << what;
+  // Exact, not approximate: same bisection, same per-cell addition order.
+  EXPECT_TRUE(got.cells == want.cells) << what;
+}
+
+TEST(GalileoFusedScanTest, MatchesReferencePipelineExactly) {
+  const auto gen = std::make_shared<const NamGenerator>();
+  GalileoStore store(gen);
+  struct Case {
+    std::string partition;
+    BoundingBox box;
+  };
+  const std::vector<Case> cases = {
+      // Inside one partition.
+      {"9y", {37.1, 38.3, -99.7, -98.2}},
+      // Across the partition's north and west edges: clipped to it.
+      {"9y", {38.9, 40.2, -102.0, -100.6}},
+      // Edges exactly on grid lines (multiples of the 0.12° spacing).
+      {"9y", {36.0, 36.96, -99.96, -99.0}},
+      // Across the coverage's north edge (60°N) and west edge (135°W).
+      {geohash::encode({59.5, -120.0}, 2), {58.9, 61.5, -121.0, -119.6}},
+      {geohash::encode({40.0, -134.5}, 2), {39.4, 40.4, -136.0, -134.0}},
+      // Outside the coverage entirely: nothing to scan.
+      {geohash::encode({10.0, -120.0}, 2), {9.5, 10.5, -120.5, -119.5}},
+  };
+  const std::vector<TimeRange> times = {
+      // One whole day.
+      {unix_seconds({2015, 2, 2}), unix_seconds({2015, 2, 3})},
+      // Partial days across a month end: slots filtered at both ends.
+      {unix_seconds({2015, 1, 30}, 5), unix_seconds({2015, 2, 2}, 13)},
+      // Across a year end: Month and Year bins change mid-scan.
+      {unix_seconds({2015, 12, 31}), unix_seconds({2016, 1, 2})},
+  };
+  // Rewritten blocks (versions 1 and 2) and one rotted block.
+  const std::string rewritten = "9y";
+  const std::int64_t feb1 = unix_seconds({2015, 2, 1}) / 86400;
+  store.ingest_update({rewritten, feb1});
+  store.ingest_update({rewritten, feb1 + 1});
+  store.ingest_update({rewritten, feb1 + 1});
+  const BlockKey rotted{rewritten, unix_seconds({2015, 12, 31}) / 86400};
+  store.rot_block(rotted);
+
+  for (bool verify : {false, true}) {
+    store.set_verify_checksums(verify);
+    for (int spatial = 2; spatial <= 8; ++spatial) {
+      for (TemporalRes temporal : {TemporalRes::Year, TemporalRes::Month,
+                                   TemporalRes::Day, TemporalRes::Hour}) {
+        const Resolution res{spatial, temporal};
+        for (const Case& c : cases) {
+          for (const TimeRange& t : times) {
+            const std::string what = c.partition + " " + c.box.to_string() +
+                                     " res " + res.to_string() + " t " +
+                                     std::to_string(t.begin) + " verify " +
+                                     std::to_string(verify);
+            const ScanResult want =
+                reference_scan(store, c.partition, c.box, t, res);
+            expect_same_scan(store.scan_partition(c.partition, c.box, t, res),
+                             want, what);
+            if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(store.block_quarantined(rotted));
+}
+
+TEST(GalileoFusedScanTest, ScansSomethingInEveryCoveredCase) {
+  // Guards the sweep above against comparing empty scans only.
+  const GalileoStore store(std::make_shared<const NamGenerator>());
+  const TimeRange day{unix_seconds({2015, 2, 2}), unix_seconds({2015, 2, 3})};
+  for (const auto& [partition, box] :
+       std::vector<std::pair<std::string, BoundingBox>>{
+           {"9y", {37.1, 38.3, -99.7, -98.2}},
+           {geohash::encode({59.5, -120.0}, 2), {58.9, 61.5, -121.0, -119.6}},
+           {geohash::encode({40.0, -134.5}, 2), {39.4, 40.4, -136.0, -134.0}}})
+    EXPECT_GT(store.scan_partition(partition, box, day, {6, TemporalRes::Day})
+                  .stats.records_scanned,
+              0u)
+        << partition;
+}
+
+TEST(GalileoFusedScanTest, AtEqualsTheRecordGenerateYields) {
+  const NamGenerator gen;
+  const double step = gen.config().grid_spacing_deg;
+  const int hour_step = 24 / gen.config().observations_per_day;
+  const TimeRange t{unix_seconds({2015, 7, 30}, 3), unix_seconds({2015, 8, 1}, 19)};
+  for (std::uint64_t seed_mix : {0ULL, 1ULL, 0x9e3779b97f4a7c15ULL}) {
+    const ObservationList records =
+        gen.generate({44.9, 46.1, -93.5, -92.2}, t, seed_mix);
+    ASSERT_FALSE(records.empty());
+    for (const Observation& obs : records) {
+      const auto i = static_cast<std::int64_t>(std::llround(obs.position.lat / step));
+      const auto j = static_cast<std::int64_t>(std::llround(obs.position.lng / step));
+      const std::int64_t day = obs.timestamp / 86400;
+      const auto slot = static_cast<int>(obs.timestamp % 86400 / 3600 / hour_step);
+      const Observation at = gen.at(i, j, day, slot, seed_mix);
+      ASSERT_EQ(at.position.lat, obs.position.lat);
+      ASSERT_EQ(at.position.lng, obs.position.lng);
+      ASSERT_EQ(at.timestamp, obs.timestamp);
+      ASSERT_EQ(at.values, obs.values);
+    }
+  }
 }
 
 }  // namespace
