@@ -12,6 +12,7 @@
 #include "core/clique.hpp"
 #include "core/graph.hpp"
 #include "core/plm.hpp"
+#include "core/query_engine.hpp"
 #include "dht/partitioner.hpp"
 #include "exec/wall_clock.hpp"
 #include "geo/geohash.hpp"
@@ -245,6 +246,25 @@ void BM_ScanPartition(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_ScanPartition);
+
+void BM_EvaluateBasic(benchmark::State& state) {
+  // Sequential QueryEngine::evaluate of a state-sized box over one day at
+  // (6, Day) in Basic mode: every chunk scans, then the chunk-to-answer
+  // fold.  Against BM_ScanPartition, this isolates what the per-chunk
+  // scans, the day merge and the fold cost beyond the records themselves.
+  const GalileoStore store(std::make_shared<const NamGenerator>());
+  StashGraph graph;
+  const QueryEngine engine(graph, store);
+  const AggregationQuery query{kStateBox, kDay.range(), kRes6};
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const Evaluation eval = engine.evaluate(query, EvalMode::Basic);
+    cells = eval.cells.size();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["cells"] = static_cast<double>(cells);
+}
+BENCHMARK(BM_EvaluateBasic);
 
 void BM_ChunkNeighbors(benchmark::State& state) {
   const ChunkKey chunk("9q8y", kDay);

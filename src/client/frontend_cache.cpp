@@ -92,9 +92,7 @@ std::size_t FrontendCache::absorb(const AggregationQuery& query,
     contribution.chunk = covered.chunk;
     const auto it = grouped.find(covered.chunk);
     if (it != grouped.end()) contribution.cells = it->second;
-    const std::int64_t first = covered.chunk.first_day();
-    for (std::size_t i = 0; i < covered.chunk.day_count(); ++i)
-      contribution.days.push_back(first + static_cast<std::int64_t>(i));
+    contribution.days = covered.chunk.days();
     inserted += graph_.absorb(contribution, now);
     touched.push_back(covered.chunk);
   }

@@ -35,6 +35,28 @@ StashCluster::Node::Node(NodeId node_id, const StashConfig& stash_config,
       last_handoff_attempt(std::numeric_limits<sim::SimTime>::min() / 2),
       rng(seed) {}
 
+Evaluation StashCluster::Node::evaluate(std::string_view partition,
+                                        const AggregationQuery& query,
+                                        EvalMode mode,
+                                        const exec::ExecOptions& options,
+                                        exec::BatchReport* report) const {
+  if (!exec_engine) return engine.evaluate_partition(partition, query, mode);
+  if (report == nullptr)
+    return exec_engine->evaluate_partition(partition, query, mode);
+  return exec_engine->evaluate_partition(partition, query, mode, options,
+                                         *report);
+}
+
+template <typename Fn>
+void StashCluster::mutate_store(Fn&& mutate, std::size_t from) {
+  if (config_.exec_threads == 0 || from == nodes_.size()) {
+    mutate(store_);
+    return;
+  }
+  nodes_[from]->mutate_graph(
+      [&](StashGraph&) { mutate_store(std::forward<Fn>(mutate), from + 1); });
+}
+
 StashCluster::Counters::Counters(obs::MetricsRegistry& reg)
     : queries_completed(reg.counter("stash_queries_completed_total",
                                     "Queries completed (including partial)")),
@@ -263,7 +285,9 @@ StashCluster::StashCluster(ClusterConfig config,
     }
   });
   fault_.set_bitrot_handler([this](const sim::BitRotEvent& event) {
-    store_.rot_block(BlockKey{event.partition, event.day});
+    mutate_store([&](GalileoStore& store) {
+      store.rot_block(BlockKey{event.partition, event.day});
+    });
   });
   fault_.set_join_handler([this](std::uint32_t id) { join_node(id); });
   fault_.set_decommission_handler(
@@ -282,7 +306,8 @@ StashCluster::StashCluster(ClusterConfig config,
 }
 
 void StashCluster::rot_block(const std::string& partition, std::int64_t day) {
-  store_.rot_block(BlockKey{partition, day});
+  mutate_store(
+      [&](GalileoStore& store) { store.rot_block(BlockKey{partition, day}); });
 }
 
 void StashCluster::scrub_now() { scrub_tick(/*reschedule=*/false); }
@@ -294,7 +319,9 @@ void StashCluster::scrub_tick(bool reschedule) {
   // exact rewrite — no replica round-trip to model for durable blocks.)
   store_.scrub();
   for (const BlockKey& block : store_.quarantine_list())
-    if (store_.repair_block(block)) counters_.scrub_repairs.inc();
+    mutate_store([&](GalileoStore& store) {
+      if (store.repair_block(block)) counters_.scrub_repairs.inc();
+    });
   // Cache pass: walk one node's chunk digests per tick (round-robin)
   // against its ring successors over the anti-entropy path.  A cached
   // replica whose digest disagrees with its peers' is dropped and
@@ -510,15 +537,18 @@ void StashCluster::register_callback_metrics() {
   // Wall-clock exec pool activity, summed across nodes.  The aggregates
   // are always registered (0 with exec disabled — schema-required); the
   // per-worker breakdowns only exist when pools do.
+  const auto exec_total = [this](auto get) {
+    double total = 0;
+    for (const auto& node : nodes_)
+      if (node->exec_engine)
+        total += static_cast<double>(get(*node->exec_engine));
+    return total;
+  };
   const auto exec_sum =
-      [this](std::uint64_t concurrency::WorkerStats::* field) {
-        std::uint64_t total = 0;
-        for (const auto& node : nodes_)
-          if (node->exec_engine) {
-            const concurrency::WorkerStats s = node->exec_engine->total_stats();
-            total += s.*field;
-          }
-        return static_cast<double>(total);
+      [exec_total](std::uint64_t concurrency::WorkerStats::* field) {
+        return exec_total([field](const exec::ParallelQueryEngine& e) {
+          return e.total_stats().*field;
+        });
       };
   registry_.callback(
       "stash_exec_tasks_total", "Chunk tasks executed by wall-clock workers",
@@ -538,14 +568,10 @@ void StashCluster::register_callback_metrics() {
       [exec_sum] { return exec_sum(&concurrency::WorkerStats::wakeups); });
   // Wall-clock robustness counters (DESIGN.md §14), also schema-required.
   const auto exec_stat_sum =
-      [this](std::uint64_t exec::ExecStats::* field) {
-        std::uint64_t total = 0;
-        for (const auto& node : nodes_)
-          if (node->exec_engine) {
-            const exec::ExecStats s = node->exec_engine->exec_stats();
-            total += s.*field;
-          }
-        return static_cast<double>(total);
+      [exec_total](std::uint64_t exec::ExecStats::* field) {
+        return exec_total([field](const exec::ParallelQueryEngine& e) {
+          return e.exec_stats().*field;
+        });
       };
   registry_.callback(
       "stash_exec_deadline_exceeded_total",
@@ -580,24 +606,19 @@ void StashCluster::register_callback_metrics() {
       MetricKind::Counter, [exec_sum] {
         return exec_sum(&concurrency::WorkerStats::submit_shed);
       });
-  registry_.callback("stash_exec_queue_depth",
-                     "Queued-but-unexecuted chunk tasks across all exec rings",
-                     MetricKind::Gauge, [this] {
-                       std::size_t depth = 0;
-                       for (const auto& node : nodes_)
-                         if (node->exec_engine)
-                           depth += node->exec_engine->queue_depth();
-                       return static_cast<double>(depth);
-                     });
-  registry_.callback("stash_exec_workers",
-                     "Wall-clock worker threads across all nodes",
-                     MetricKind::Gauge, [this] {
-                       std::size_t workers = 0;
-                       for (const auto& node : nodes_)
-                         if (node->exec_engine)
-                           workers += node->exec_engine->worker_count();
-                       return static_cast<double>(workers);
-                     });
+  registry_.callback(
+      "stash_exec_queue_depth",
+      "Queued-but-unexecuted chunk tasks across all exec rings",
+      MetricKind::Gauge, [exec_total] {
+        return exec_total(
+            [](const exec::ParallelQueryEngine& e) { return e.queue_depth(); });
+      });
+  registry_.callback(
+      "stash_exec_workers", "Wall-clock worker threads across all nodes",
+      MetricKind::Gauge, [exec_total] {
+        return exec_total(
+            [](const exec::ParallelQueryEngine& e) { return e.worker_count(); });
+      });
   // Per-worker-slot queue depth and steal counters (summed over nodes at
   // the same slot index) — both exporters render these like any metric.
   if (config_.exec_threads > 0) {
@@ -609,33 +630,27 @@ void StashCluster::register_callback_metrics() {
       registry_.callback(
           "stash_exec_worker" + suffix + "_tasks_total",
           "Chunk tasks executed by worker slot " + suffix + " (all nodes)",
-          MetricKind::Counter, [this, i] {
-            std::uint64_t total = 0;
-            for (const auto& node : nodes_)
-              if (node->exec_engine)
-                total += node->exec_engine->worker_stats(i).executed;
-            return static_cast<double>(total);
+          MetricKind::Counter, [exec_total, i] {
+            return exec_total([i](const exec::ParallelQueryEngine& e) {
+              return e.worker_stats(i).executed;
+            });
           });
       registry_.callback(
           "stash_exec_worker" + suffix + "_steals_total",
           "Chunk tasks stolen by worker slot " + suffix + " (all nodes)",
-          MetricKind::Counter, [this, i] {
-            std::uint64_t total = 0;
-            for (const auto& node : nodes_)
-              if (node->exec_engine)
-                total += node->exec_engine->worker_stats(i).stolen;
-            return static_cast<double>(total);
+          MetricKind::Counter, [exec_total, i] {
+            return exec_total([i](const exec::ParallelQueryEngine& e) {
+              return e.worker_stats(i).stolen;
+            });
           });
       registry_.callback(
           "stash_exec_worker" + suffix + "_queue_depth",
           "Queued chunk tasks in worker slot " + suffix + "'s rings "
           "(all nodes)",
-          MetricKind::Gauge, [this, i] {
-            std::size_t depth = 0;
-            for (const auto& node : nodes_)
-              if (node->exec_engine)
-                depth += node->exec_engine->worker_queue_depth(i);
-            return static_cast<double>(depth);
+          MetricKind::Gauge, [exec_total, i] {
+            return exec_total([i](const exec::ParallelQueryEngine& e) {
+              return e.worker_queue_depth(i);
+            });
           });
     }
   }
@@ -700,7 +715,7 @@ ClusterMetrics StashCluster::metrics() const {
 
 void StashCluster::wipe_node(NodeId id) {
   Node& node = *nodes_[id];
-  node.graph.clear();
+  node.mutate_graph([](StashGraph& graph) { graph.clear(); });
   node.guest_graph.clear();
   node.routing.clear();
   node.server.reset();
@@ -811,7 +826,9 @@ void StashCluster::pull_warm_chunks(NodeId to, NodeId donor,
                 if (local_hash != 0) {
                   if (!local.graph.chunk_complete(entry.res, entry.chunk))
                     continue;  // partial: skip
-                  local.graph.drop_chunk(entry.res, entry.chunk);
+                  local.mutate_graph([&](StashGraph& graph) {
+                    graph.drop_chunk(entry.res, entry.chunk);
+                  });
                   counters_.replica_divergences.inc();
                 }
                 wanted->emplace_back(entry.res, entry.chunk);
@@ -865,12 +882,13 @@ void StashCluster::pull_warm_chunks(NodeId to, NodeId donor,
                           if (!contributions) return;
                           Node& receiver = *nodes_[to];
                           std::uint64_t chunks = 0, cells = 0;
-                          for (const auto& c : *contributions) {
-                            if (receiver.graph.absorb(c, loop_.now()) == 0)
-                              continue;
-                            ++chunks;
-                            cells += c.cells.size();
-                          }
+                          receiver.mutate_graph([&](StashGraph& graph) {
+                            for (const auto& c : *contributions) {
+                              if (graph.absorb(c, loop_.now()) == 0) continue;
+                              ++chunks;
+                              cells += c.cells.size();
+                            }
+                          });
                           counters_.chunks_rewarmed.inc(chunks);
                           counters_.cells_rewarmed.inc(cells);
                           if (done) done();
@@ -1775,11 +1793,7 @@ void StashCluster::deliver_degraded(
   if (config_.discard_payload) {
     pending.stats.result_cells += deg->eval.cells.size();
   } else {
-    for (auto& [key, summary] : deg->eval.cells) {
-      auto [cell_it, inserted] =
-          pending.cells.try_emplace(key, std::move(summary));
-      if (!inserted) cell_it->second.merge(summary);
-    }
+    splice_cells(deg->eval.cells, pending.cells);
   }
   complete_subquery(query_id);
 }
@@ -1902,23 +1916,18 @@ void StashCluster::enqueue_local(NodeId node_id, std::uint64_t query_id,
         if (it == pending_.end()) return 0;
         const Subquery& sq = it->second.subqueries[idx];
         if (sq.done || sq.attempts != attempt) return 0;  // superseded
-        if (node.exec_engine) {
-          // Wall-clock datapath: evaluate under the configured host-time
-          // budget.  An expired or fault-hit batch comes back partial;
-          // the completion below reroutes it through the PR-4 pushback
-          // taxonomy instead of delivering a half answer.
-          exec::ExecOptions exec_opts;
-          if (config_.exec_deadline_ms > 0)
-            exec_opts.deadline_ns = exec::host_now_ns() +
-                                    config_.exec_deadline_ms * 1'000'000ull;
-          exec::BatchReport exec_report;
-          *slot = node.exec_engine->evaluate_partition(
-              sq.partition, it->second.query, mode, exec_opts, exec_report);
-          *exec_partial = !exec_report.complete();
-        } else {
-          *slot = node.engine.evaluate_partition(sq.partition,
-                                                 it->second.query, mode);
-        }
+        // The wall-clock datapath evaluates under the configured
+        // host-time budget.  An expired or fault-hit batch comes back
+        // partial; the completion below reroutes it through the PR-4
+        // pushback taxonomy instead of delivering a half answer.
+        exec::ExecOptions exec_opts;
+        if (node.exec_engine && config_.exec_deadline_ms > 0)
+          exec_opts.deadline_ns = exec::host_now_ns() +
+                                  config_.exec_deadline_ms * 1'000'000ull;
+        exec::BatchReport exec_report;
+        *slot = node.evaluate(sq.partition, it->second.query, mode, exec_opts,
+                              &exec_report);
+        *exec_partial = !exec_report.complete();
         return service_time(slot->breakdown);
       },
       [this, &node, query_id, idx, attempt, slot,
@@ -1954,10 +1963,7 @@ void StashCluster::enqueue_local(NodeId node_id, std::uint64_t query_id,
           node.maintenance.submit([this, &node, res,
                                    maintenance_slot]() -> sim::SimTime {
             const MaintenanceStats stats =
-                node.exec_engine
-                    ? node.exec_engine->absorb(*maintenance_slot, res,
-                                               loop_.now())
-                    : node.engine.absorb(*maintenance_slot, res, loop_.now());
+                node.absorb(*maintenance_slot, res, loop_.now());
             const sim::SimTime t = maintenance_time(stats);
             counters_.maintenance_tasks.inc();
             counters_.maintenance_time_us.inc(static_cast<std::uint64_t>(t));
@@ -2088,11 +2094,7 @@ void StashCluster::deliver_response(std::uint64_t query_id, std::size_t idx,
     // Cells are disjoint across partitions: counting is exact.
     pending.stats.result_cells += eval.cells.size();
   } else {
-    for (auto& [key, summary] : eval.cells) {
-      auto [cell_it, inserted] =
-          pending.cells.try_emplace(key, std::move(summary));
-      if (!inserted) cell_it->second.merge(summary);
-    }
+    splice_cells(eval.cells, pending.cells);
   }
   complete_subquery(query_id);
 }
@@ -2467,24 +2469,15 @@ std::size_t StashCluster::preload(const AggregationQuery& query) {
     const NodeId owner = serving_owner(partition);
     if (!fault_.alive(owner)) continue;  // a dead node cannot warm its cache
     Node& node = *nodes_[owner];
-    const Evaluation eval =
-        node.exec_engine
-            ? node.exec_engine->evaluate_partition(partition, query,
-                                                   EvalMode::Cached)
-            : node.engine.evaluate_partition(partition, query,
-                                             EvalMode::Cached);
-    const MaintenanceStats stats =
-        node.exec_engine
-            ? node.exec_engine->absorb(eval, query.res, loop_.now())
-            : node.engine.absorb(eval, query.res, loop_.now());
-    inserted += stats.cells_absorbed;
+    const Evaluation eval = node.evaluate(partition, query, EvalMode::Cached);
+    inserted += node.absorb(eval, query.res, loop_.now()).cells_absorbed;
   }
   return inserted;
 }
 
 void StashCluster::clear_caches() {
   for (auto& node : nodes_) {
-    node->graph.clear();
+    node->mutate_graph([](StashGraph& graph) { graph.clear(); });
     node->guest_graph.clear();
     node->routing.purge(loop_.now() + config_.stash.routing_ttl * 2,
                         config_.stash.routing_ttl);
@@ -2494,14 +2487,18 @@ void StashCluster::clear_caches() {
 void StashCluster::invalidate_block(const std::string& partition,
                                     std::int64_t day) {
   for (auto& node : nodes_) {
-    node->graph.invalidate_block(partition, day);
+    node->mutate_graph(
+        [&](StashGraph& graph) { graph.invalidate_block(partition, day); });
     node->guest_graph.invalidate_block(partition, day);
   }
 }
 
 std::uint64_t StashCluster::ingest_update(const std::string& partition,
                                           std::int64_t day) {
-  const std::uint64_t version = store_.ingest_update(BlockKey{partition, day});
+  std::uint64_t version = 0;
+  mutate_store([&](GalileoStore& store) {
+    version = store.ingest_update(BlockKey{partition, day});
+  });
   invalidate_block(partition, day);
   return version;
 }

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -529,8 +530,8 @@ class StashCluster {
     QueryEngine engine;
     QueryEngine guest_engine;
     /// Wall-clock parallel datapath over the same graph+store (set when
-    /// ClusterConfig::exec_threads > 0).  The serve and maintenance paths
-    /// route through it so graph reads/writes stay under its RwSpinlock.
+    /// ClusterConfig::exec_threads > 0).  The members below route through
+    /// it so graph reads/writes stay under its RwSpinlock.
     std::unique_ptr<exec::ParallelQueryEngine> exec_engine;
     RoutingTable routing;
     sim::SimServer server;
@@ -542,6 +543,29 @@ class StashCluster {
     Node(NodeId node_id, const StashConfig& stash_config,
          const GalileoStore& store, sim::EventLoop& loop,
          const sim::SimServer::Config& server_config, std::uint64_t seed);
+
+    /// One partition subquery over the local graph.  With `report`, the
+    /// exec path runs under `options` and reports failures and expiry;
+    /// without, a failed chunk rethrows.
+    [[nodiscard]] Evaluation evaluate(std::string_view partition,
+                                      const AggregationQuery& query,
+                                      EvalMode mode,
+                                      const exec::ExecOptions& options = {},
+                                      exec::BatchReport* report = nullptr) const;
+    /// Maintenance pass over the local graph.
+    MaintenanceStats absorb(const Evaluation& eval, const Resolution& res,
+                            sim::SimTime now) {
+      return exec_engine ? exec_engine->absorb(eval, res, now)
+                         : engine.absorb(eval, res, now);
+    }
+    /// Every other local-graph write: past an exec deadline, straggler
+    /// chunk tasks may still be reading the graph.
+    template <typename Fn>
+    decltype(auto) mutate_graph(Fn&& mutate) {
+      if (!exec_engine) return mutate(graph);
+      return exec_engine->exclusive(
+          [&]() -> decltype(auto) { return mutate(graph); });
+    }
   };
 
   /// One scattered subquery's lifecycle across attempts.  Responses and
@@ -779,6 +803,10 @@ class StashCluster {
   void suspect(NodeId id);
   void absolve(NodeId id);
   void wipe_node(NodeId id);  // crash handler: volatile state only
+  /// Runs `mutate(store_)` under every node's exec writer lock (from node
+  /// `from` on): straggler chunk tasks scan the block table too.
+  template <typename Fn>
+  void mutate_store(Fn&& mutate, std::size_t from = 0);
   /// Throws if a Pending entry survived quiescence (satellite guard).
   void check_quiescence() const;
   [[nodiscard]] sim::SimTime service_time(const EvalBreakdown& b) const;

@@ -172,32 +172,14 @@ void GraphAuditor::check_rollups(const StashGraph& graph,
 
       for (const auto& candidate :
            chunk_child_levels(res, chunk, chunk_precision)) {
-        bool all_complete = true;
-        for (const auto& child : candidate.chunks)
-          if (!graph.chunk_complete(candidate.res, child)) {
-            all_complete = false;
-            break;
-          }
-        if (!all_complete) continue;
+        std::size_t probes = 0;
+        if (!graph.level_complete(candidate, probes)) continue;
 
         // Both the parent and a covering child level are complete: §V-B
         // exactness says rolling the children up must reproduce the parent.
         ++report.rollups_checked;
         CellSummaryMap rolled;
-        for (const auto& child_chunk : candidate.chunks) {
-          const auto* child = graph.find_chunk(candidate.res, child_chunk);
-          if (child == nullptr) continue;  // complete but empty region
-          for (const auto& [child_key, summary] : child->cells) {
-            CellKey parent_key =
-                candidate.spatial
-                    ? CellKey(*geohash::parent(child_key.geohash_str()),
-                              child_key.bin())
-                    : CellKey(child_key.geohash_str(),
-                              *child_key.bin().parent());
-            auto [it, inserted] = rolled.try_emplace(parent_key, summary);
-            if (!inserted) it->second.merge(summary);
-          }
-        }
+        (void)graph.roll_up(candidate, rolled);
 
         if (rolled.size() != data.cells.size()) {
           add(report, AuditViolationKind::RollupMismatch,

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,12 @@ struct ChunkKey {
     const TimeRange r = bin().range();
     return static_cast<std::size_t>((r.end - r.begin) / 86400 +
                                     ((r.end - r.begin) % 86400 != 0 ? 1 : 0));
+  }
+  /// first_day() and every day after it, day_count() in all.
+  [[nodiscard]] std::vector<std::int64_t> days() const {
+    std::vector<std::int64_t> out(day_count());
+    std::iota(out.begin(), out.end(), first_day());
+    return out;
   }
 
   bool operator==(const ChunkKey&) const = default;

@@ -138,9 +138,7 @@ void append_complete_chunk(const StashGraph& graph, const Resolution& res,
   c.res = res;
   c.chunk = chunk;
   c.cells.assign(data->cells.begin(), data->cells.end());
-  const std::int64_t first = chunk.first_day();
-  for (std::size_t i = 0; i < chunk.day_count(); ++i)
-    c.days.push_back(first + static_cast<std::int64_t>(i));
+  c.days = chunk.days();
   payload.push_back(std::move(c));
 }
 

@@ -56,6 +56,35 @@ std::vector<std::int64_t> StashGraph::chunk_missing_days(
   return plm_.missing_days(level_index(res), chunk);
 }
 
+bool StashGraph::level_complete(const ChunkChildLevel& level,
+                                std::size_t& probes) const {
+  for (const auto& chunk : level.chunks) {
+    ++probes;
+    if (!chunk_complete(level.res, chunk)) return false;
+  }
+  return true;
+}
+
+std::size_t StashGraph::roll_up(const ChunkChildLevel& level,
+                                CellSummaryMap& out) const {
+  std::size_t merges = 0;
+  for (const auto& child_chunk : level.chunks) {
+    const ChunkData* data = find_chunk(level.res, child_chunk);
+    if (data == nullptr) continue;  // complete but empty region
+    for (const auto& [child_key, summary] : data->cells) {
+      const CellKey parent_key =
+          level.spatial ? CellKey(*geohash::parent(child_key.geohash_str()),
+                                  child_key.bin())
+                        : CellKey(child_key.geohash_str(),
+                                  *child_key.bin().parent());
+      auto [it, inserted] = out.try_emplace(parent_key, summary);
+      if (!inserted) it->second.merge(summary);
+      ++merges;
+    }
+  }
+  return merges;
+}
+
 std::size_t StashGraph::collect_chunk(const Resolution& res, const ChunkKey& chunk,
                                       const BoundingBox& box, const TimeRange& time,
                                       CellSummaryMap& out) const {

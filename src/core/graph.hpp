@@ -83,6 +83,15 @@ class StashGraph {
                                             const ChunkKey& chunk) const;
   [[nodiscard]] const Summary* find_cell(const CellKey& key) const;
 
+  // --- §V-B roll-up (QueryEngine::synthesize and the GraphAuditor) ---
+  /// True when every chunk of `level` is complete.  Probes in order and
+  /// stops at the first miss; `probes` counts the probes made.
+  [[nodiscard]] bool level_complete(const ChunkChildLevel& level,
+                                    std::size_t& probes) const;
+  /// Merges every resident cell of `level` into its parent cell in `out`,
+  /// child chunk by child chunk.  Returns the child cells merged.
+  std::size_t roll_up(const ChunkChildLevel& level, CellSummaryMap& out) const;
+
   // --- integrity ---
   /// Content-covering digest of one chunk: the PLM bitmap digest mixed with
   /// an order-independent checksum of every resident Cell (key + summary

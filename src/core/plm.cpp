@@ -65,12 +65,7 @@ std::vector<std::int64_t> PrecisionLevelMap::missing_days(
   const auto& map = level(lvl);
   const auto it = map.find(chunk);
   std::vector<std::int64_t> out;
-  if (it == map.end()) {
-    out.reserve(chunk.day_count());
-    for (std::size_t i = 0; i < chunk.day_count(); ++i)
-      out.push_back(first + static_cast<std::int64_t>(i));
-    return out;
-  }
+  if (it == map.end()) return chunk.days();
   for (std::size_t i : it->second.zero_indices())
     out.push_back(first + static_cast<std::int64_t>(i));
   return out;

@@ -26,20 +26,14 @@ EvalBreakdown& EvalBreakdown::operator+=(const EvalBreakdown& other) noexcept {
 QueryEngine::QueryEngine(StashGraph& graph, const GalileoStore& store)
     : graph_(graph), store_(store) {}
 
-namespace {
-
-/// Moves `source` cells intersecting box × time into the response.
-void filter_into(CellSummaryMap&& source, const BoundingBox& box,
-                 const TimeRange& time, CellSummaryMap& out) {
-  for (auto& [key, summary] : source) {
-    if (!key.bounds().intersects(box)) continue;
-    if (!key.time_range().intersects(time)) continue;
-    auto [it, inserted] = out.try_emplace(key, std::move(summary));
-    if (!inserted) it->second.merge(summary);
-  }
+void QueryEngine::validate(const AggregationQuery& query) const {
+  if (!query.valid())
+    throw std::invalid_argument("QueryEngine: invalid query");
+  if (query.res.spatial < store_.partition_prefix_length())
+    throw std::invalid_argument(
+        "QueryEngine: spatial resolution must be >= the DHT partition prefix "
+        "length (coarser Cells would span storage partitions)");
 }
-
-}  // namespace
 
 std::optional<ChunkContribution> QueryEngine::synthesize(
     const Resolution& res, const ChunkKey& chunk,
@@ -54,41 +48,14 @@ std::optional<ChunkContribution> QueryEngine::synthesize(
     // Probe with early exit: the common case (child level absent) must cost
     // one probe, or the §VIII-C.2 "slightly more than basic" worst case
     // would balloon.
-    bool all_complete = true;
-    for (const auto& ck : candidate.chunks) {
-      ++breakdown.cache_probes;
-      if (!graph_.chunk_complete(candidate.res, ck)) {
-        all_complete = false;
-        break;
-      }
-    }
-    if (!all_complete) continue;
-
-    // Roll every child Cell up into its parent at (res).
+    if (!graph_.level_complete(candidate, breakdown.cache_probes)) continue;
     CellSummaryMap rolled;
-    std::size_t merges = 0;
-    for (const auto& child_chunk : candidate.chunks) {
-      const auto* data = graph_.find_chunk(candidate.res, child_chunk);
-      if (data == nullptr) continue;  // complete but empty region
-      for (const auto& [child_key, summary] : data->cells) {
-        CellKey parent_key =
-            candidate.spatial
-                ? CellKey(*geohash::parent(child_key.geohash_str()),
-                          child_key.bin())
-                : CellKey(child_key.geohash_str(), *child_key.bin().parent());
-        auto [it, inserted] = rolled.try_emplace(parent_key, summary);
-        if (!inserted) it->second.merge(summary);
-        ++merges;
-      }
-    }
+    breakdown.synthesis_merges += graph_.roll_up(candidate, rolled);
     ChunkContribution out;
     out.res = res;
     out.chunk = chunk;
     out.cells.assign(rolled.begin(), rolled.end());
-    const std::int64_t first = chunk.first_day();
-    for (std::size_t i = 0; i < chunk.day_count(); ++i)
-      out.days.push_back(first + static_cast<std::int64_t>(i));
-    breakdown.synthesis_merges += merges;
+    out.days = chunk.days();
     return out;
   }
   return std::nullopt;
@@ -125,6 +92,10 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
     return result;
   }
   ++result.breakdown.chunks_total;
+  const auto wanted = [&](const CellKey& key) {
+    return key.bounds().intersects(clipped) &&
+           key.time_range().intersects(query.time);
+  };
 
   if (mode != EvalMode::Basic) {
     ++result.breakdown.cache_probes;
@@ -138,8 +109,13 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
     // bin over a partial one would double-count contributions.
     if (!graph_.chunk_known(query.res, chunk)) {
       if (auto synth = synthesize(query.res, chunk, result.breakdown)) {
-        CellSummaryMap synth_map(synth->cells.begin(), synth->cells.end());
-        filter_into(std::move(synth_map), clipped, query.time, out_cells);
+        // Copied, not moved: the roll-up is also the maintenance
+        // contribution.
+        for (const auto& [key, summary] : synth->cells) {
+          if (!wanted(key)) continue;
+          auto [it, inserted] = out_cells.try_emplace(key, summary);
+          if (!inserted) it->second.merge(summary);
+        }
         result.breakdown.cells_synthesized += synth->cells.size();
         ++result.breakdown.chunks_synthesized;
         result.fetched = std::move(*synth);
@@ -155,16 +131,12 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
   // Disk path: merge the resident partial contribution (if any) with a
   // scan of the missing days.
   CellSummaryMap local;
-  std::vector<std::int64_t> days;
-  if (mode == EvalMode::Basic) {
-    const std::int64_t first = chunk.first_day();
-    for (std::size_t i = 0; i < chunk.day_count(); ++i)
-      days.push_back(first + static_cast<std::int64_t>(i));
-  } else {
+  if (mode != EvalMode::Basic)
     result.breakdown.cells_from_cache +=
         graph_.collect_chunk(query.res, chunk, clipped, query.time, local);
-    days = graph_.chunk_missing_days(query.res, chunk);
-  }
+  const std::vector<std::int64_t> days =
+      mode == EvalMode::Basic ? chunk.days()
+                              : graph_.chunk_missing_days(query.res, chunk);
 
   ChunkContribution contribution;
   contribution.res = query.res;
@@ -198,81 +170,74 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
       continue;
     }
     contribution.days.push_back(day);
-    for (auto& [key, summary] : part.cells) {
-      auto [it, inserted] = scanned.try_emplace(key, std::move(summary));
-      if (!inserted) it->second.merge(summary);
-    }
+    // Basic mode keeps the first day's scan map as the day merge.  Cached
+    // mode splices every day: re-linking the nodes one by one keeps the
+    // insertion order the absorbed contribution has always had, and the
+    // graph's roll-up sums its cells in that order (DESIGN.md §13.2).
+    if (mode == EvalMode::Basic && scanned.empty())
+      scanned = std::move(part.cells);
+    else
+      splice_cells(part.cells, scanned);
   }
   result.breakdown.cells_scanned += scanned.size();
   ++result.breakdown.chunks_scanned;
   if (mode == EvalMode::Basic) {
     // Nothing resident and nothing to absorb: the scan is the response.
-    filter_into(std::move(scanned), clipped, query.time, out_cells);
+    splice_cells(scanned, out_cells, wanted);
     return result;
   }
   contribution.cells.assign(scanned.begin(), scanned.end());
   if (!contribution.days.empty()) result.fetched = std::move(contribution);
 
   // Response = resident partial + freshly scanned, filtered to query.
-  for (auto& [key, summary] : scanned) {
-    auto [it, inserted] = local.try_emplace(key, std::move(summary));
-    if (!inserted) it->second.merge(summary);
-  }
-  filter_into(std::move(local), clipped, query.time, out_cells);
+  splice_cells(scanned, local);
+  splice_cells(local, out_cells, wanted);
   return result;
+}
+
+void QueryEngine::fold_chunk(Evaluation& eval,
+                             std::set<std::int64_t>& partition_days,
+                             const ChunkKey& chunk, ChunkEvalResult&& result,
+                             CellSummaryMap* cells) {
+  eval.touched_chunks.push_back(chunk);
+  result.breakdown.scan.blocks_touched = 0;  // counted per distinct day
+  eval.breakdown += result.breakdown;
+  for (const std::int64_t day : result.days_scanned)
+    if (partition_days.insert(day).second)
+      ++eval.breakdown.scan.blocks_touched;
+  if (cells != nullptr) splice_cells(*cells, eval.cells);
+  if (result.fetched) eval.fetched.push_back(std::move(*result.fetched));
+  eval.corrupt_blocks.insert(eval.corrupt_blocks.end(),
+                             result.corrupt_blocks.begin(),
+                             result.corrupt_blocks.end());
+}
+
+void QueryEngine::evaluate_into(std::string_view partition,
+                                const AggregationQuery& query, EvalMode mode,
+                                Evaluation& eval) const {
+  const PartitionPlan plan = plan_partition(partition, query);
+  std::set<std::int64_t> partition_days;
+  for (const ChunkKey& chunk : plan.chunks)
+    fold_chunk(eval, partition_days, chunk,
+               evaluate_chunk(partition, query, plan.clipped, chunk, mode,
+                              eval.cells));
 }
 
 Evaluation QueryEngine::evaluate_partition(std::string_view partition,
                                            const AggregationQuery& query,
                                            EvalMode mode) const {
-  if (!query.valid())
-    throw std::invalid_argument("QueryEngine: invalid query");
-  if (query.res.spatial < store_.partition_prefix_length())
-    throw std::invalid_argument(
-        "QueryEngine: spatial resolution must be >= the DHT partition prefix "
-        "length (coarser Cells would span storage partitions)");
-
+  validate(query);
   Evaluation eval;
-  const PartitionPlan plan = plan_partition(partition, query);
-  if (plan.empty) return eval;
-
-  // All chunks of one (partition, day) live in a single block file: disk
-  // seeks are charged per unique day, not per chunk scanned.
-  std::set<std::int64_t> days_scanned;
-
-  for (const ChunkKey& chunk : plan.chunks) {
-    eval.touched_chunks.push_back(chunk);
-    ChunkEvalResult r =
-        evaluate_chunk(partition, query, plan.clipped, chunk, mode, eval.cells);
-    eval.breakdown += r.breakdown;
-    if (r.fetched) eval.fetched.push_back(std::move(*r.fetched));
-    eval.corrupt_blocks.insert(eval.corrupt_blocks.end(),
-                               r.corrupt_blocks.begin(),
-                               r.corrupt_blocks.end());
-    days_scanned.insert(r.days_scanned.begin(), r.days_scanned.end());
-  }
-  eval.breakdown.scan.blocks_touched = days_scanned.size();
+  evaluate_into(partition, query, mode, eval);
   return eval;
 }
 
 DegradedEvaluation QueryEngine::evaluate_degraded(
     std::string_view partition, const AggregationQuery& query) const {
-  if (!query.valid())
-    throw std::invalid_argument("QueryEngine: invalid query");
+  validate(query);
   const int min_spatial = store_.partition_prefix_length();
-  if (query.res.spatial < min_spatial)
-    throw std::invalid_argument(
-        "QueryEngine: spatial resolution must be >= the DHT partition prefix "
-        "length (coarser Cells would span storage partitions)");
-
   DegradedEvaluation out;
   out.served_res = query.res;
-  const BoundingBox clipped =
-      query.area.intersection(geohash::decode(partition));
-  if (!clipped.valid() || !clipped.intersects(query.area)) {
-    out.found = true;  // nothing of the query here: the empty answer is exact
-    return out;
-  }
 
   // BFS over the resolution hierarchy, nearest ancestors first, spatial
   // coarsening preferred among ties (parent_resolutions order).  Step 0 is
@@ -283,23 +248,19 @@ DegradedEvaluation QueryEngine::evaluate_degraded(
   seen[static_cast<std::size_t>(level_index(query.res))] = true;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     const auto [res, steps] = frontier[i];
+    AggregationQuery level = query;
+    level.res = res;
+    // A partition the query misses plans no chunks, which are trivially
+    // complete: the empty answer at step 0 is exact.
+    const PartitionPlan plan = plan_partition(partition, level);
 
-    const int chunk_prec =
-        chunk_spatial_precision(res.spatial, graph_.config().chunk_precision);
-    const auto prefixes = geohash::covering(clipped, chunk_prec);
-    const auto bins = temporal_covering(query.time, res.temporal);
-    std::vector<ChunkKey> chunks;
-    chunks.reserve(prefixes.size() * bins.size());
-    for (const auto& prefix : prefixes)
-      for (const auto& bin : bins) chunks.emplace_back(prefix, bin);
-
-    out.eval.breakdown.cache_probes += chunks.size();
-    if (graph_.region_complete(res, chunks)) {
-      for (const ChunkKey& chunk : chunks) {
+    out.eval.breakdown.cache_probes += plan.chunks.size();
+    if (graph_.region_complete(res, plan.chunks)) {
+      for (const ChunkKey& chunk : plan.chunks) {
         ++out.eval.breakdown.chunks_total;
         ++out.eval.breakdown.chunks_from_cache;
         out.eval.breakdown.cells_from_cache += graph_.collect_chunk(
-            res, chunk, clipped, query.time, out.eval.cells);
+            res, chunk, plan.clipped, query.time, out.eval.cells);
       }
       out.served_res = res;
       out.coarsening_steps = steps;
@@ -320,22 +281,11 @@ DegradedEvaluation QueryEngine::evaluate_degraded(
 
 Evaluation QueryEngine::evaluate(const AggregationQuery& query,
                                  EvalMode mode) const {
+  validate(query);
   Evaluation total;
   for (const auto& partition :
-       geohash::covering(query.area, store_.partition_prefix_length())) {
-    Evaluation part = evaluate_partition(partition, query, mode);
-    total.breakdown += part.breakdown;
-    for (auto& [key, summary] : part.cells) {
-      auto [it, inserted] = total.cells.try_emplace(key, std::move(summary));
-      if (!inserted) it->second.merge(summary);
-    }
-    std::move(part.fetched.begin(), part.fetched.end(),
-              std::back_inserter(total.fetched));
-    std::move(part.touched_chunks.begin(), part.touched_chunks.end(),
-              std::back_inserter(total.touched_chunks));
-    std::move(part.corrupt_blocks.begin(), part.corrupt_blocks.end(),
-              std::back_inserter(total.corrupt_blocks));
-  }
+       geohash::covering(query.area, store_.partition_prefix_length()))
+    evaluate_into(partition, query, mode, total);
   return total;
 }
 

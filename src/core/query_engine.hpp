@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <set>
 #include <string_view>
 #include <vector>
 
@@ -89,14 +90,13 @@ class CancelProbe {
 };
 
 /// Everything one chunk contributes to a partition evaluation, except the
-/// response cells (those are appended straight into a caller-supplied map
-/// so the sequential path keeps its exact insertion order).  This is the
-/// unit the wall-clock executor shards across worker threads: chunks are
+/// response cells (appended into a caller-supplied map).  This is the unit
+/// the wall-clock executor shards across worker threads: chunks are
 /// independent — a cell belongs to exactly one chunk at a given
-/// resolution — so per-chunk results merge without cross-chunk summary
-/// merges (src/exec/parallel_engine.cpp relies on that).
+/// resolution (DESIGN.md §13.2) — so per-chunk results union without
+/// cross-chunk summary merges.
 struct ChunkEvalResult {
-  EvalBreakdown breakdown;  // deltas; scan.blocks_touched is finalized later
+  EvalBreakdown breakdown;  // deltas; fold_chunk finalizes scan.blocks_touched
   std::optional<ChunkContribution> fetched;
   std::vector<BlockKey> corrupt_blocks;
   std::vector<std::int64_t> days_scanned;  // disk days, for seek accounting
@@ -108,6 +108,10 @@ struct ChunkEvalResult {
 class QueryEngine {
  public:
   QueryEngine(StashGraph& graph, const GalileoStore& store);
+
+  /// Throws std::invalid_argument unless `query` is valid and no coarser
+  /// than the DHT partition prefix.  Every evaluation entry checks this.
+  void validate(const AggregationQuery& query) const;
 
   /// Evaluates the part of `query` that falls inside one DHT partition —
   /// what a storage node executes for its subquery.
@@ -144,9 +148,10 @@ class QueryEngine {
       CellSummaryMap& out_cells, const CancelProbe* cancel = nullptr) const;
 
   /// The canonical (prefix-major, bin-minor) chunk enumeration for a
-  /// partition subquery, and the clipped box it applies to.  Sequential
-  /// and wall-clock evaluation both follow this order, which is what
-  /// makes their merged answers byte-identical.
+  /// partition subquery, and the clipped box it applies to.  Sequential,
+  /// wall-clock and degraded evaluation all enumerate chunks here, and the
+  /// first two fold them in this order, which is what makes their merged
+  /// answers byte-identical.
   struct PartitionPlan {
     BoundingBox clipped;
     std::vector<ChunkKey> chunks;
@@ -154,6 +159,17 @@ class QueryEngine {
   };
   [[nodiscard]] PartitionPlan plan_partition(
       std::string_view partition, const AggregationQuery& query) const;
+
+  /// The one chunk-to-answer fold (§IV-D: the answer is the union of the
+  /// per-chunk results), fed in canonical (partition, chunk) order.
+  /// `cells`, when given, are spliced into eval.cells; null means they are
+  /// already there.  `partition_days` (empty at a partition's first chunk)
+  /// makes scan.blocks_touched count distinct days: all chunks of one
+  /// (partition, day) live in a single block file.
+  static void fold_chunk(Evaluation& eval,
+                         std::set<std::int64_t>& partition_days,
+                         const ChunkKey& chunk, ChunkEvalResult&& result,
+                         CellSummaryMap* cells = nullptr);
 
   /// Maintenance pass: absorbs fetched Cells into the graph, updates
   /// freshness with neighborhood dispersion, and evicts if over capacity.
@@ -169,6 +185,11 @@ class QueryEngine {
   [[nodiscard]] std::optional<ChunkContribution> synthesize(
       const Resolution& res, const ChunkKey& chunk,
       EvalBreakdown& breakdown) const;
+
+  /// Folds one partition's chunks, in plan order, into `eval`.
+  void evaluate_into(std::string_view partition,
+                     const AggregationQuery& query, EvalMode mode,
+                     Evaluation& eval) const;
 
   StashGraph& graph_;
   const GalileoStore& store_;

@@ -1,9 +1,7 @@
 #include "exec/parallel_engine.hpp"
 
 #include <exception>
-#include <iterator>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "concurrency/cancellation.hpp"
@@ -55,7 +53,7 @@ struct ParallelQueryEngine::BatchState {
   AggregationQuery query;
   EvalMode mode;
   std::vector<Part> parts;
-  /// items[i] = index into parts; the chunk is plan.chunks[i - first].
+  /// part_of[i] = index into parts; the chunk is plan.chunks[i - first].
   std::vector<std::size_t> part_of;
   std::vector<ChunkOutcome> outcomes;
   std::unique_ptr<concurrency::catomic<std::uint32_t>[]> chunk_state;
@@ -68,15 +66,11 @@ struct ParallelQueryEngine::BatchState {
         mode(m),
         parts(std::move(p)),
         remaining(0, "exec.batch_remaining") {
-    std::size_t n = 0;
-    for (auto& part : parts) {
-      part.first = n;
-      n += part.plan.chunks.size();
+    for (std::size_t pi = 0; pi < parts.size(); ++pi) {
+      parts[pi].first = part_of.size();
+      part_of.resize(part_of.size() + parts[pi].plan.chunks.size(), pi);
     }
-    part_of.resize(n);
-    for (std::size_t pi = 0; pi < parts.size(); ++pi)
-      for (std::size_t j = 0; j < parts[pi].plan.chunks.size(); ++j)
-        part_of[parts[pi].first + j] = pi;
+    const std::size_t n = part_of.size();
     outcomes.resize(n);
     chunk_state =
         std::make_unique<concurrency::catomic<std::uint32_t>[]>(n);
@@ -100,17 +94,6 @@ ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
           config.watchdog_interval_ns, &host_now_ns}) {}
 
 ParallelQueryEngine::~ParallelQueryEngine() = default;
-
-void ParallelQueryEngine::validate(const AggregationQuery& query) const {
-  // Same contract (and messages) as the sequential engine, checked before
-  // any task is queued so workers never see an invalid query.
-  if (!query.valid())
-    throw std::invalid_argument("QueryEngine: invalid query");
-  if (query.res.spatial < engine_.store().partition_prefix_length())
-    throw std::invalid_argument(
-        "QueryEngine: spatial resolution must be >= the DHT partition prefix "
-        "length (coarser Cells would span storage partitions)");
-}
 
 void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
                                     std::size_t index,
@@ -253,39 +236,14 @@ Evaluation ParallelQueryEngine::collect(BatchState& state,
       report.incomplete_partitions.push_back(part.partition);
       continue;
     }
-    // Mirror QueryEngine::evaluate: per-partition assembly in canonical
-    // chunk order, then the same partition-order merge into the total.
-    Evaluation eval;
-    std::set<std::int64_t> days_scanned;
+    // The sequential fold, fed the same chunks in the same canonical
+    // order: this is what makes the two engines' answers identical.
+    std::set<std::int64_t> partition_days;
     for (std::size_t j = 0; j < count; ++j) {
       BatchState::ChunkOutcome& out = state.outcomes[part.first + j];
-      eval.touched_chunks.push_back(part.plan.chunks[j]);
-      eval.breakdown += out.result.breakdown;
-      for (auto& [key, summary] : out.cells) {
-        auto [it, inserted] = eval.cells.try_emplace(key, std::move(summary));
-        if (!inserted) it->second.merge(summary);
-      }
-      if (out.result.fetched)
-        eval.fetched.push_back(std::move(*out.result.fetched));
-      eval.corrupt_blocks.insert(eval.corrupt_blocks.end(),
-                                 out.result.corrupt_blocks.begin(),
-                                 out.result.corrupt_blocks.end());
-      days_scanned.insert(out.result.days_scanned.begin(),
-                          out.result.days_scanned.end());
+      QueryEngine::fold_chunk(total, partition_days, part.plan.chunks[j],
+                              std::move(out.result), &out.cells);
     }
-    eval.breakdown.scan.blocks_touched = days_scanned.size();
-
-    total.breakdown += eval.breakdown;
-    for (auto& [key, summary] : eval.cells) {
-      auto [it, inserted] = total.cells.try_emplace(key, std::move(summary));
-      if (!inserted) it->second.merge(summary);
-    }
-    std::move(eval.fetched.begin(), eval.fetched.end(),
-              std::back_inserter(total.fetched));
-    std::move(eval.touched_chunks.begin(), eval.touched_chunks.end(),
-              std::back_inserter(total.touched_chunks));
-    std::move(eval.corrupt_blocks.begin(), eval.corrupt_blocks.end(),
-              std::back_inserter(total.corrupt_blocks));
   }
   return total;
 }
@@ -304,16 +262,8 @@ Evaluation ParallelQueryEngine::evaluate_partition(
 Evaluation ParallelQueryEngine::evaluate_partition(
     std::string_view partition, const AggregationQuery& query, EvalMode mode,
     const ExecOptions& options, BatchReport& report) const {
-  validate(query);
-  std::vector<BatchState::Part> parts;
-  BatchState::Part part{std::string(partition),
-                        engine_.plan_partition(partition, query), 0};
-  if (!part.plan.empty) parts.push_back(std::move(part));
-  auto state =
-      std::make_shared<BatchState>(query, mode, std::move(parts));
-  run_batch(state, options.deadline_ns);
-  report.deadline_exceeded = state->token.cancelled();
-  return collect(*state, report);
+  engine_.validate(query);
+  return run(query, mode, {std::string(partition)}, options, report);
 }
 
 Evaluation ParallelQueryEngine::evaluate(const AggregationQuery& query,
@@ -328,29 +278,30 @@ Evaluation ParallelQueryEngine::evaluate(const AggregationQuery& query,
                                          EvalMode mode,
                                          const ExecOptions& options,
                                          BatchReport& report) const {
-  validate(query);
+  engine_.validate(query);
+  return run(query, mode,
+             geohash::covering(query.area,
+                               engine_.store().partition_prefix_length()),
+             options, report);
+}
 
+Evaluation ParallelQueryEngine::run(const AggregationQuery& query,
+                                    EvalMode mode,
+                                    const std::vector<std::string>& partitions,
+                                    const ExecOptions& options,
+                                    BatchReport& report) const {
   // Plan every partition first so the whole query fans out as one batch —
-  // the covering order here is the canonical merge order.
+  // the partition order here is the canonical fold order.
   std::vector<BatchState::Part> parts;
-  for (const auto& partition : geohash::covering(
-           query.area, engine_.store().partition_prefix_length())) {
+  for (const auto& partition : partitions) {
     BatchState::Part part{partition, engine_.plan_partition(partition, query),
                           0};
     if (!part.plan.empty) parts.push_back(std::move(part));
   }
-  auto state =
-      std::make_shared<BatchState>(query, mode, std::move(parts));
+  auto state = std::make_shared<BatchState>(query, mode, std::move(parts));
   run_batch(state, options.deadline_ns);
   report.deadline_exceeded = state->token.cancelled();
   return collect(*state, report);
-}
-
-MaintenanceStats ParallelQueryEngine::absorb(const Evaluation& eval,
-                                             const Resolution& res,
-                                             sim::SimTime now) {
-  concurrency::RwSpinWriterLock lock(graph_lock_);
-  return engine_.absorb(eval, res, now);
 }
 
 ExecStats ParallelQueryEngine::exec_stats() const {

@@ -24,8 +24,9 @@
 // partition it belongs to is reported incomplete, never std::terminate.
 //
 // Locking: workers take the RwSpinlock shared while evaluating (const
-// graph reads + Galileo scans); absorb() — the maintenance pass — takes
-// it exclusive.  Tasks flow through the WorkerPool's MpmcRings; the
+// graph reads + Galileo scans); absorb() — the maintenance pass — and
+// exclusive() — any other graph or store write — take it exclusive.
+// Tasks flow through the WorkerPool's MpmcRings; the
 // submitting thread parks on a per-batch WakeupGate until the last chunk
 // lands or the deadline fires (commit_wait_until).
 #pragma once
@@ -35,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "concurrency/rw_spinlock.hpp"
@@ -134,9 +136,19 @@ class ParallelQueryEngine {
                                     EvalMode mode, const ExecOptions& options,
                                     BatchReport& report) const;
 
+  /// Runs `mutate` under the exclusive graph lock — required for any write
+  /// to the graph or store: past a deadline, stragglers still read both.
+  template <typename Fn>
+  decltype(auto) exclusive(Fn&& mutate) {
+    concurrency::RwSpinWriterLock lock(graph_lock_);
+    return std::forward<Fn>(mutate)();
+  }
+
   /// Maintenance pass under the exclusive graph lock.
   MaintenanceStats absorb(const Evaluation& eval, const Resolution& res,
-                          sim::SimTime now);
+                          sim::SimTime now) {
+    return exclusive([&] { return engine_.absorb(eval, res, now); });
+  }
 
   [[nodiscard]] std::size_t worker_count() const {
     return pool_.worker_count();
@@ -159,7 +171,12 @@ class ParallelQueryEngine {
  private:
   struct BatchState;
 
-  void validate(const AggregationQuery& query) const;
+  /// Plans `partitions` of a validated query, fans them out as one batch,
+  /// and folds the whole partitions back in order.
+  [[nodiscard]] Evaluation run(const AggregationQuery& query, EvalMode mode,
+                               const std::vector<std::string>& partitions,
+                               const ExecOptions& options,
+                               BatchReport& report) const;
   /// Fan out the batch and wait — until the last chunk lands, or until
   /// the deadline fires (then the token is cancelled and the wait ends).
   void run_batch(const std::shared_ptr<BatchState>& state,

@@ -213,10 +213,7 @@ ScanResult GalileoStore::scan(const BoundingBox& region, const TimeRange& time,
     total.corrupt_blocks.insert(total.corrupt_blocks.end(),
                                 part.corrupt_blocks.begin(),
                                 part.corrupt_blocks.end());
-    for (auto& [key, summary] : part.cells) {
-      auto [it, inserted] = total.cells.try_emplace(key, std::move(summary));
-      if (!inserted) it->second.merge(summary);
-    }
+    splice_cells(part.cells, total.cells);
   }
   return total;
 }

@@ -60,6 +60,26 @@ struct ScanStats {
 /// Per-cell aggregates produced by a scan.
 using CellSummaryMap = std::unordered_map<CellKey, Summary, CellKeyHash>;
 
+/// Moves the cells of `from` that `keep` accepts into `into` by node
+/// splice (extract/insert: no allocation, the same insertion sequence as
+/// copying).  A key already in `into` merges `from`'s summary into it, in
+/// `from`'s iteration order.
+template <typename Keep>
+void splice_cells(CellSummaryMap& from, CellSummaryMap& into, Keep keep) {
+  for (auto it = from.begin(); it != from.end();) {
+    if (!keep(it->first)) {
+      ++it;
+      continue;
+    }
+    auto placed = into.insert(from.extract(it++));
+    if (!placed.inserted) placed.position->second.merge(placed.node.mapped());
+  }
+}
+
+inline void splice_cells(CellSummaryMap& from, CellSummaryMap& into) {
+  splice_cells(from, into, [](const CellKey&) { return true; });
+}
+
 struct ScanResult {
   CellSummaryMap cells;
   ScanStats stats;

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/civil_time.hpp"
+#include "geo/geohash.hpp"
 #include "obs/metrics.hpp"
 
 namespace stash::cluster {
@@ -218,6 +219,53 @@ TEST(ExecClusterTest, NodeCrashAndRestartKeepWorkersCoherent) {
   cluster.loop().run_until(20 * sim::kMillisecond);
   const QueryStats after = cluster.run_query(state_query());
   EXPECT_EQ(after.result_cells, want.result_cells);
+}
+
+TEST(ExecClusterTest, StragglersPastDeadlineNeverRaceGraphOrStoreWrites) {
+  // A 1 ms exec deadline over delayed chunk tasks: batches expire with
+  // chunks still running, and those stragglers keep reading the node's
+  // graph and the shared block table after the submitter has returned.
+  // Meanwhile the sim crashes and wipes a node, re-warms it by recovery,
+  // rots, scrubs and repairs a block, and invalidates it on ingest.  Every
+  // one of those writes must take the engines' writer locks — TSan (the
+  // exec-chaos lane) flags any that does not.
+  ClusterConfig config = exec_config(2);
+  config.exec_deadline_ms = 1;
+  config.exec_faults.seed = 0x57A6;
+  config.exec_faults.task_delay_rate = 0.5;
+  config.exec_faults.task_delay_spins = 200'000;
+  config.recovery = true;
+  sim::CrashEvent crash;
+  crash.node = 3;
+  crash.at = 5 * sim::kMillisecond;
+  crash.restart_at = 10 * sim::kMillisecond;
+  config.fault_plan.crashes.push_back(crash);
+  config.subquery_timeout = 20 * sim::kMillisecond;
+  StashCluster cluster(config, shared_generator());
+
+  StashCluster reference(exec_config(2), shared_generator());
+  const QueryStats want = reference.run_query(state_query());
+
+  const std::string partition = geohash::encode({38.3, -98.4}, 2);
+  const std::int64_t day =
+      TemporalBin(TemporalRes::Day, 2015, 2, 2).range().begin / 86400;
+  for (int round = 0; round < 4; ++round) {
+    (void)cluster.run_query(state_query());
+    cluster.rot_block(partition, day);
+    cluster.scrub_now();
+    (void)cluster.ingest_update(partition, day);
+    cluster.loop().run_until(cluster.loop().now() + 5 * sim::kMillisecond);
+  }
+  const QueryStats last = cluster.run_query(state_query());
+  EXPECT_LE(last.result_cells, want.result_cells);
+  const AuditReport audit = cluster.audit_all();
+  EXPECT_TRUE(audit.ok()) << audit.to_string();
+
+  const obs::MetricsSnapshot snap = cluster.metrics_registry().snapshot();
+  double cancelled = -1.0;
+  for (const auto& sc : snap.scalars)
+    if (sc.name == "stash_exec_cancelled_chunks_total") cancelled = sc.value;
+  EXPECT_GT(cancelled, 0.0);  // the deadline did leave stragglers behind
 }
 
 }  // namespace

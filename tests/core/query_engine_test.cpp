@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/civil_time.hpp"
+#include "geo/geohash.hpp"
 
 namespace stash {
 namespace {
@@ -262,6 +269,129 @@ TEST_F(QueryEngineTest, TouchedChunksCoverQueryFootprint) {
   for (const auto& chunk : eval.touched_chunks)
     EXPECT_TRUE(chunk.bounds().intersects(query.area)) << chunk.label();
 }
+
+// DESIGN.md §13.2: at one resolution a cell belongs to exactly one chunk
+// of one partition, which is what lets QueryEngine::fold_chunk build the
+// answer as a plain union.  Each case evaluates every chunk of every
+// partition into its own map, over every (spatial >= partition prefix,
+// temporal) level, and asserts no CellKey comes from two chunks.  The
+// cases cross boxes on and across chunk and partition edges with a
+// one-day and a month-crossing range.  Cached mode walks the levels
+// finest first in one graph and re-evaluates each level warm, so the
+// sweep crosses the scan, roll-up and cache paths.
+struct DisjointCase {
+  std::string name;
+  BoundingBox box;
+  TimeRange range;
+};
+
+std::vector<DisjointCase> disjoint_cases() {
+  const BoundingBox part = geohash::decode("9y");
+  const BoundingBox chunk = geohash::decode("9yf5");
+  const std::vector<std::pair<const char*, BoundingBox>> boxes = {
+      // Exactly one chunk: every edge lies on a chunk edge.
+      {"OnChunkEdges", chunk},
+      // In a partition corner, two edges on the partition's.
+      {"OnPartitionEdges",
+       {part.lat_min, part.lat_min + 0.3, part.lng_min, part.lng_min + 0.6}},
+      {"AcrossChunkCorner",
+       {chunk.lat_max - 0.05, chunk.lat_max + 0.05, chunk.lng_max - 0.1,
+        chunk.lng_max + 0.1}},
+      // Four partitions.
+      {"AcrossPartitionCorner",
+       {part.lat_max - 0.05, part.lat_max + 0.05, part.lng_max - 0.1,
+        part.lng_max + 0.1}},
+  };
+  const std::int64_t noon = 12 * 3600;
+  const TimeRange one_day = TemporalBin(TemporalRes::Day, 2015, 2, 2).range();
+  const TimeRange month_crossing{
+      TemporalBin(TemporalRes::Day, 2015, 1, 31).range().begin + noon,
+      TemporalBin(TemporalRes::Day, 2015, 2, 1).range().begin + noon};
+  std::vector<DisjointCase> cases;
+  for (const auto& [box_name, box] : boxes) {
+    cases.push_back({std::string(box_name) + "_OneDay", box, one_day});
+    cases.push_back(
+        {std::string(box_name) + "_MonthCrossing", box, month_crossing});
+  }
+  return cases;
+}
+
+class ChunkDisjointnessTest
+    : public QueryEngineTest,
+      public ::testing::WithParamInterface<DisjointCase> {
+ protected:
+  struct PathCounts {
+    std::size_t scanned = 0;
+    std::size_t synthesized = 0;
+    std::size_t from_cache = 0;
+  };
+
+  /// Evaluates `query` chunk by chunk, failing on any key seen twice, and
+  /// returns the chunks folded into one Evaluation (for absorb).
+  Evaluation evaluate_checked(const QueryEngine& engine,
+                              const AggregationQuery& query, EvalMode mode,
+                              PathCounts& counts) const {
+    Evaluation eval;
+    std::map<CellKey, std::string> owner;
+    for (const auto& partition : geohash::covering(
+             query.area, store_.partition_prefix_length())) {
+      const auto plan = engine.plan_partition(partition, query);
+      std::set<std::int64_t> days;
+      for (const ChunkKey& chunk : plan.chunks) {
+        CellSummaryMap cells;
+        ChunkEvalResult r = engine.evaluate_chunk(
+            partition, query, plan.clipped, chunk, mode, cells);
+        const std::string where = partition + "/" + chunk.label();
+        for (const auto& entry : cells) {
+          const auto [it, fresh] = owner.emplace(entry.first, where);
+          EXPECT_TRUE(fresh) << entry.first.label() << " from " << where
+                             << " and " << it->second << " for "
+                             << query.to_string();
+        }
+        counts.scanned += r.breakdown.chunks_scanned;
+        counts.synthesized += r.breakdown.chunks_synthesized;
+        counts.from_cache += r.breakdown.chunks_from_cache;
+        QueryEngine::fold_chunk(eval, days, chunk, std::move(r), &cells);
+      }
+    }
+    EXPECT_EQ(eval.cells.size(), owner.size());
+    return eval;
+  }
+};
+
+TEST_P(ChunkDisjointnessTest, NoCellComesFromTwoChunks) {
+  const DisjointCase& c = GetParam();
+  // Finest first, so coarser levels can roll up from resident ones.
+  const TemporalRes temporal[] = {TemporalRes::Hour, TemporalRes::Day,
+                                  TemporalRes::Month, TemporalRes::Year};
+  PathCounts basic, cached;
+  StashGraph graph(make_config());
+  QueryEngine warm_engine(graph, store_);
+  sim::SimTime now = 0;
+  for (int spatial = 8; spatial >= store_.partition_prefix_length();
+       --spatial) {
+    for (const TemporalRes t : temporal) {
+      const AggregationQuery query{c.box, c.range, {spatial, t}};
+      (void)evaluate_checked(engine_, query, EvalMode::Basic, basic);
+      const Evaluation cold =
+          evaluate_checked(warm_engine, query, EvalMode::Cached, cached);
+      (void)warm_engine.absorb(cold, query.res, now += kSecond);
+      (void)evaluate_checked(warm_engine, query, EvalMode::Cached, cached);
+    }
+  }
+  EXPECT_GT(basic.scanned, 0u);
+  EXPECT_EQ(basic.synthesized + basic.from_cache, 0u);
+  EXPECT_GT(cached.scanned, 0u);
+  EXPECT_GT(cached.synthesized, 0u);
+  EXPECT_GT(cached.from_cache, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EdgesAndRanges, ChunkDisjointnessTest,
+    ::testing::ValuesIn(disjoint_cases()),
+    [](const ::testing::TestParamInfo<DisjointCase>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace stash
