@@ -14,6 +14,7 @@
 #include "core/plm.hpp"
 #include "core/query_engine.hpp"
 #include "dht/partitioner.hpp"
+#include "exec/parallel_engine.hpp"
 #include "exec/wall_clock.hpp"
 #include "geo/geohash.hpp"
 #include "sim/fault.hpp"
@@ -265,6 +266,27 @@ void BM_EvaluateBasic(benchmark::State& state) {
   state.counters["cells"] = static_cast<double>(cells);
 }
 BENCHMARK(BM_EvaluateBasic);
+
+void BM_EvaluateParallel(benchmark::State& state) {
+  // BM_EvaluateBasic's query through ParallelQueryEngine::evaluate with
+  // range(0) workers: the claimed-chunk fan-out, the submitter's
+  // in-order fold while it helps, and the batch join.  Wall time, since
+  // the work happens on the pool's threads.
+  const GalileoStore store(std::make_shared<const NamGenerator>());
+  StashGraph graph;
+  exec::ExecConfig config;
+  config.threads = static_cast<std::size_t>(state.range(0));
+  const exec::ParallelQueryEngine engine(graph, store, config);
+  const AggregationQuery query{kStateBox, kDay.range(), kRes6};
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const Evaluation eval = engine.evaluate(query, EvalMode::Basic);
+    cells = eval.cells.size();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["cells"] = static_cast<double>(cells);
+}
+BENCHMARK(BM_EvaluateParallel)->Arg(4)->UseRealTime();
 
 void BM_ChunkNeighbors(benchmark::State& state) {
   const ChunkKey chunk("9q8y", kDay);

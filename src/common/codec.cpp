@@ -1,9 +1,11 @@
 #include "common/codec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "common/checksum.hpp"
@@ -193,11 +195,22 @@ void encode(Buffer& out, const Summary& summary) {
 Summary decode_summary(Reader& in) {
   const std::uint64_t n = in.varint();
   if (n > 1024) throw std::out_of_range("codec: implausible attribute count");
-  std::vector<AttributeSummary> attrs;
-  reserve_bounded(attrs, n, in);
-  for (std::uint64_t i = 0; i < n; ++i)
-    attrs.push_back(decode_attribute_summary(in));
-  return Summary::from_attributes(std::move(attrs));
+  // Schema-sized summaries decode on the stack; only wider ones allocate.
+  std::array<AttributeSummary, Summary::kInlineAttributes> inline_attrs;
+  std::vector<AttributeSummary> wide_attrs;
+  const bool wide = n > inline_attrs.size();
+  if (wide) reserve_bounded(wide_attrs, n, in);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const AttributeSummary attr = decode_attribute_summary(in);
+    if (wide)
+      wide_attrs.push_back(attr);
+    else
+      inline_attrs[static_cast<std::size_t>(i)] = attr;
+  }
+  return Summary::from_attributes(
+      wide ? std::span<const AttributeSummary>(wide_attrs)
+           : std::span<const AttributeSummary>(inline_attrs.data(),
+                                               static_cast<std::size_t>(n)));
 }
 
 void encode(Buffer& out, const ChunkContribution& contribution) {

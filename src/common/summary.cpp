@@ -53,47 +53,89 @@ bool AttributeSummary::approx_equals(const AttributeSummary& other,
          close(sum, other.sum, rel_tol) && close(sum_sq, other.sum_sq, rel_tol);
 }
 
-Summary Summary::from_attributes(std::vector<AttributeSummary> attrs) {
-  if (attrs.empty()) return Summary{};
+Summary::Summary(std::size_t num_attributes) : size_(num_attributes) {
+  if (size_ > kInlineAttributes)
+    heap_ = std::make_unique<AttributeSummary[]>(size_);
+}
+
+Summary::Summary(const Summary& other) : Summary(other.size_) {
+  std::copy_n(other.data(), size_, data());
+}
+
+Summary::Summary(Summary&& other) noexcept
+    : size_(other.size_), inline_(other.inline_),
+      heap_(std::move(other.heap_)) {
+  other.size_ = 0;
+}
+
+Summary& Summary::operator=(const Summary& other) {
+  if (this == &other) return *this;
+  if (size_ != other.size_) *this = Summary(other.size_);
+  std::copy_n(other.data(), size_, data());
+  return *this;
+}
+
+Summary& Summary::operator=(Summary&& other) noexcept {
+  if (this == &other) return *this;
+  size_ = other.size_;
+  inline_ = other.inline_;
+  heap_ = std::move(other.heap_);
+  other.size_ = 0;
+  return *this;
+}
+
+Summary Summary::from_attributes(std::span<const AttributeSummary> attrs) {
   for (const auto& a : attrs) {
     if (a.count != attrs.front().count)
       throw std::invalid_argument(
           "Summary::from_attributes: inconsistent observation counts");
   }
-  Summary out;
-  out.attrs_ = std::move(attrs);
+  Summary out(attrs.size());
+  std::copy(attrs.begin(), attrs.end(), out.data());
   return out;
 }
 
+const AttributeSummary& Summary::attribute(std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("Summary::attribute: index");
+  return data()[i];
+}
+
 void Summary::add_observation(const double* values, std::size_t n) {
-  if (n != attrs_.size())
+  if (n != size_)
     throw std::invalid_argument("Summary::add_observation: attribute count mismatch");
-  for (std::size_t i = 0; i < n; ++i) attrs_[i].add(values[i]);
+  AttributeSummary* attrs = data();
+  for (std::size_t i = 0; i < n; ++i) attrs[i].add(values[i]);
 }
 
 void Summary::merge(const Summary& other) {
-  if (attrs_.empty()) {
-    attrs_ = other.attrs_;
+  if (size_ == 0) {
+    *this = other;
     return;
   }
-  if (other.attrs_.empty()) return;
-  if (attrs_.size() != other.attrs_.size())
+  if (other.size_ == 0) return;
+  if (size_ != other.size_)
     throw std::invalid_argument("Summary::merge: attribute count mismatch");
-  for (std::size_t i = 0; i < attrs_.size(); ++i) attrs_[i].merge(other.attrs_[i]);
+  AttributeSummary* attrs = data();
+  const AttributeSummary* theirs = other.data();
+  for (std::size_t i = 0; i < size_; ++i) attrs[i].merge(theirs[i]);
 }
 
 bool Summary::approx_equals(const Summary& other, double rel_tol) const noexcept {
-  if (attrs_.size() != other.attrs_.size()) return false;
-  for (std::size_t i = 0; i < attrs_.size(); ++i)
-    if (!attrs_[i].approx_equals(other.attrs_[i], rel_tol)) return false;
+  if (size_ != other.size_) return false;
+  for (std::size_t i = 0; i < size_; ++i)
+    if (!data()[i].approx_equals(other.data()[i], rel_tol)) return false;
   return true;
+}
+
+bool Summary::operator==(const Summary& other) const noexcept {
+  return std::ranges::equal(attributes(), other.attributes());
 }
 
 std::string Summary::to_string() const {
   std::ostringstream out;
   out << "{n=" << observation_count();
-  for (std::size_t i = 0; i < attrs_.size(); ++i) {
-    const auto& a = attrs_[i];
+  for (std::size_t i = 0; i < size_; ++i) {
+    const auto& a = data()[i];
     out << ", a" << i << "=[min=" << a.min << ", max=" << a.max
         << ", mean=" << a.mean() << "]";
   }

@@ -3,18 +3,19 @@
 //
 // Three fault kinds, mirroring what actually goes wrong in a thread pool:
 //
-//   * task delay      — a chunk task burns extra CPU before running
+//   * task delay      — a chunk burns extra CPU before running
 //                       (scheduling jitter, cold caches, page faults),
-//   * task exception  — a chunk task throws InjectedFault (the quarantine
+//   * task exception  — a chunk throws InjectedFault (the quarantine
 //                       path: counted, chunk flagged, pool survives),
-//   * worker stall    — a chunk task wedges long enough to freeze its
+//   * worker stall    — a chunk wedges long enough to freeze its
 //                       worker's heartbeat (the watchdog's prey).
 //
 // Determinism: every decision is a pure function of (seed, task sequence
 // number) via splitmix64 — no shared RNG state, so the same plan injects
-// the same faults at the same tasks regardless of thread count, ring
-// placement, or OS scheduling.  Task sequence numbers are assigned on the
-// (single-threaded) submit path, so they are reproducible run to run.
+// the same faults at the same chunks regardless of thread count, ring
+// placement, which thread claims a chunk, or OS scheduling.  A chunk's
+// sequence number is its batch's base, reserved once per evaluate call,
+// plus the chunk's index in the batch, so it is reproducible run to run.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +37,14 @@ struct InjectedFault : std::runtime_error {
 struct FaultHooks {
   std::uint64_t seed = 0;
 
-  /// P(chunk task burns task_delay_spins of busy work first).
+  /// P(chunk burns task_delay_spins of busy work first).
   double task_delay_rate = 0.0;
   std::uint32_t task_delay_spins = 20'000;
 
-  /// P(chunk task throws InjectedFault instead of evaluating).
+  /// P(chunk throws InjectedFault instead of evaluating).
   double task_exception_rate = 0.0;
 
-  /// P(chunk task wedges for worker_stall_spins — long enough that the
+  /// P(chunk wedges for worker_stall_spins — long enough that the
   /// worker's heartbeat freezes across a watchdog interval).
   double worker_stall_rate = 0.0;
   std::uint32_t worker_stall_spins = 5'000'000;
@@ -54,7 +55,7 @@ struct FaultHooks {
   }
 };
 
-/// What the plan injects into one task.  At most one fault fires per task
+/// What the plan injects into one chunk.  At most one fault fires per chunk
 /// (exception > stall > delay precedence) so rates stay interpretable.
 struct FaultDecision {
   bool throw_exception = false;

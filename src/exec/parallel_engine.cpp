@@ -1,5 +1,7 @@
 #include "exec/parallel_engine.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <exception>
 #include <set>
 #include <utility>
@@ -13,8 +15,8 @@ namespace stash::exec {
 
 namespace {
 
-// Chunk lifecycle, published with release by the executing thread and
-// read with acquire by the collecting submitter.
+// Chunk lifecycle, published by the thread that ran the chunk and read by
+// the collecting submitter.
 constexpr std::uint32_t kChunkPending = 0;
 constexpr std::uint32_t kChunkDone = 1;
 constexpr std::uint32_t kChunkCancelled = 2;
@@ -36,7 +38,7 @@ class TokenProbe final : public CancelProbe {
 }  // namespace
 
 /// Everything one batch fans out over, owned by shared_ptr: the submitter
-/// may return at its deadline while straggler tasks still hold a
+/// may return at its deadline while straggler claim tasks still hold a
 /// reference, so nothing here can live on the submitting thread's stack.
 struct ParallelQueryEngine::BatchState {
   struct Part {
@@ -57,15 +59,23 @@ struct ParallelQueryEngine::BatchState {
   std::vector<std::size_t> part_of;
   std::vector<ChunkOutcome> outcomes;
   std::unique_ptr<concurrency::catomic<std::uint32_t>[]> chunk_state;
+  /// Fault-hook sequence number of chunk 0; chunk i is seq_base + i, so a
+  /// chunk's fault schedule does not depend on other submitters.
+  std::uint64_t seq_base = 0;
   concurrency::CancellationToken token;
+  /// Rung after every chunk and every claim-task exit.
   concurrency::WakeupGate done;
-  concurrency::catomic<std::uint64_t> remaining;
+  /// Claim cursor: the next chunk index nobody has taken yet.
+  concurrency::catomic<std::uint64_t> next;
+  /// Claim tasks submitted to the pool that have not exited yet.
+  concurrency::catomic<std::uint64_t> live;
 
   BatchState(AggregationQuery q, EvalMode m, std::vector<Part> p)
       : query(std::move(q)),
         mode(m),
         parts(std::move(p)),
-        remaining(0, "exec.batch_remaining") {
+        next(0, "exec.batch_next"),
+        live(0, "exec.batch_live") {
     for (std::size_t pi = 0; pi < parts.size(); ++pi) {
       parts[pi].first = part_of.size();
       part_of.resize(part_of.size() + parts[pi].plan.chunks.size(), pi);
@@ -74,11 +84,47 @@ struct ParallelQueryEngine::BatchState {
     outcomes.resize(n);
     chunk_state =
         std::make_unique<concurrency::catomic<std::uint32_t>[]>(n);
-    remaining.store(n);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return outcomes.size(); }
+
+  /// Takes the next unclaimed chunk; size() when every chunk is taken.
+  [[nodiscard]] std::size_t claim() {
+    const std::uint64_t i = next.fetch_add(1);
+    return i < size() ? static_cast<std::size_t>(i) : size();
+  }
 };
+
+namespace {
+
+/// Where an Evaluation stood before a partition's first fold, so a
+/// partition that turns out incomplete can be taken back out exactly.
+struct FoldMark {
+  EvalBreakdown breakdown;
+  std::size_t touched_chunks = 0;
+  std::size_t fetched = 0;
+  std::size_t corrupt_blocks = 0;
+
+  explicit FoldMark(const Evaluation& eval)
+      : breakdown(eval.breakdown),
+        touched_chunks(eval.touched_chunks.size()),
+        fetched(eval.fetched.size()),
+        corrupt_blocks(eval.corrupt_blocks.size()) {}
+
+  /// Erasing by key is exact: a cell belongs to exactly one chunk, so no
+  /// key of `cells` was merged into one folded before the mark.
+  void rollback(Evaluation& eval, const std::vector<CellKey>& cells) const {
+    for (const CellKey& key : cells) eval.cells.erase(key);
+    eval.breakdown = breakdown;
+    eval.touched_chunks.resize(touched_chunks);
+    eval.fetched.erase(
+        eval.fetched.begin() + static_cast<std::ptrdiff_t>(fetched),
+        eval.fetched.end());
+    eval.corrupt_blocks.resize(corrupt_blocks);
+  }
+};
+
+}  // namespace
 
 ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
                                         const GalileoStore& store,
@@ -95,14 +141,14 @@ ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
 
 ParallelQueryEngine::~ParallelQueryEngine() = default;
 
-void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
-                                    std::size_t index,
-                                    std::uint64_t task_seq) const {
-  BatchState::ChunkOutcome& out = state->outcomes[index];
+void ParallelQueryEngine::run_chunk(BatchState& state,
+                                    std::size_t index) const {
+  BatchState::ChunkOutcome& out = state.outcomes[index];
   std::uint32_t final_state = kChunkDone;
-  if (state->token.cancelled()) {
+  if (state.token.cancelled()) {
     final_state = kChunkCancelled;
   } else {
+    const std::uint64_t task_seq = state.seq_base + index;
     try {
       const FaultDecision fault = fault_decision(config_.faults, task_seq);
       if (fault.throw_exception) throw InjectedFault(task_seq);
@@ -111,13 +157,13 @@ void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
       else if (fault.delay)
         fault_busy_spin(config_.faults.task_delay_spins);
 
-      const BatchState::Part& part = state->parts[state->part_of[index]];
+      const BatchState::Part& part = state.parts[state.part_of[index]];
       const ChunkKey& chunk = part.plan.chunks[index - part.first];
-      const TokenProbe probe(state->token);
+      const TokenProbe probe(state.token);
       concurrency::RwSpinReaderLock lock(graph_lock_);
       out.result =
-          engine_.evaluate_chunk(part.partition, state->query,
-                                 part.plan.clipped, chunk, state->mode,
+          engine_.evaluate_chunk(part.partition, state.query,
+                                 part.plan.clipped, chunk, state.mode,
                                  out.cells, &probe);
       if (out.result.cancelled) {
         out.cells.clear();  // a half-scanned chunk is not an honest answer
@@ -132,118 +178,137 @@ void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
     cancelled_chunks_.fetch_add(1);
   else if (final_state == kChunkFailed)
     task_exceptions_.fetch_add(1);
-  // Release pairs with the collector's acquire: a chunk observed done has
-  // its cells/result fully visible.
-  state->chunk_state[index].store(final_state, std::memory_order_release);
-  if (state->remaining.fetch_sub(1, std::memory_order_release) == 1)
-    state->done.notify_all();
+  // The store publishes the outcome (a chunk observed settled has its
+  // cells/result fully visible) and is seq_cst because, with the gate's
+  // fences, it is one half of the Dekker pair the collector's park relies
+  // on.  The collector may be parked on this very chunk, so every chunk
+  // rings the gate, not only the last.
+  state.chunk_state[index].store(final_state);
+  state.done.notify_all();
 }
 
-void ParallelQueryEngine::run_batch(const std::shared_ptr<BatchState>& state,
-                                    std::uint64_t deadline_ns) const {
-  const std::size_t n = state->size();
-  if (n == 0) return;
+void ParallelQueryEngine::run_claimed(BatchState& state) const {
+  for (std::size_t i = state.claim(); i < state.size(); i = state.claim())
+    run_chunk(state, i);
+}
 
-  const bool timed = deadline_ns != 0;
-  const auto expired = [deadline_ns] { return host_now_ns() >= deadline_ns; };
-
-  bool expired_in_submit = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    // The deadline binds during submission too: an inline-shed chunk can
-    // burn real time, so once the budget is gone the token is cancelled
-    // and the rest of the batch takes run_chunk's fast bail-out path —
-    // every chunk still decrements `remaining` exactly once.
-    if (timed && !expired_in_submit && expired()) {
-      if (state->token.cancel(concurrency::CancelReason::kDeadline,
-                              deadline_ns))
-        deadline_exceeded_.fetch_add(1);
-      expired_in_submit = true;
-    }
-    const std::uint64_t seq = task_seq_.fetch_add(1);
-    concurrency::WorkerPool::Task task = [this, state, i, seq] {
-      run_chunk(state, i, seq);
+void ParallelQueryEngine::fan_out(
+    const std::shared_ptr<BatchState>& state) const {
+  const std::size_t tasks = std::min(state->size(), pool_.worker_count());
+  state->live.store(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    concurrency::WorkerPool::Task task = [this, state] {
+      run_claimed(*state);
+      state->live.fetch_sub(1);
+      state->done.notify_all();
     };
-    if (expired_in_submit) {
-      task();  // token already cancelled: records kChunkCancelled, ~free
-      continue;
-    }
     if (!pool_.try_submit(task)) {
-      // Every ring full: bounded backpressure means the submitter runs
-      // the chunk inline instead of spinning on the rings (counted as
-      // submit_shed in the pool stats).
-      task();
+      // Every ring full (counted as submit_shed): the tasks not submitted
+      // will not run, and the collecting submitter claims their chunks.
+      state->live.fetch_sub(tasks - t);
+      return;
     }
-  }
-
-  // Park until the last chunk lands or the deadline fires (prepare /
-  // re-check / commit — the gate protocol proven in tests/mc/).
-  while (state->remaining.load(std::memory_order_acquire) != 0) {
-    if (timed && expired()) break;
-    const concurrency::WakeupGate::Ticket ticket = state->done.prepare_wait();
-    if (state->remaining.load(std::memory_order_acquire) == 0) {
-      state->done.cancel_wait();
-      break;
-    }
-    if (timed) {
-      if (!state->done.commit_wait_until(ticket, expired)) break;
-    } else {
-      state->done.commit_wait(ticket);
-    }
-  }
-
-  if (state->remaining.load(std::memory_order_acquire) != 0) {
-    // Deadline fired with chunks outstanding: cancel cooperatively and
-    // return.  Workers probe the token between chunks and between
-    // per-day scans; stragglers decrement against the shared state after
-    // we are gone.  (cancel() is idempotent-by-claim: if the submit loop
-    // already cancelled, this neither re-publishes nor double-counts.)
-    if (state->token.cancel(concurrency::CancelReason::kDeadline,
-                            deadline_ns))
-      deadline_exceeded_.fetch_add(1);
   }
 }
 
 Evaluation ParallelQueryEngine::collect(BatchState& state,
+                                        std::uint64_t deadline_ns,
                                         BatchReport& report) const {
+  const bool timed = deadline_ns != 0;
+  const auto expired = [deadline_ns] { return host_now_ns() >= deadline_ns; };
+  bool gave_up = false;
+
+  // Past the deadline: cancel the batch and run every still-unclaimed
+  // chunk through run_chunk's cancelled fast path, so each chunk still
+  // ends in exactly one state.  cancel() is claim-once: a cancel that
+  // raced us neither re-publishes nor double-counts.
+  const auto give_up = [&] {
+    if (state.token.cancel(concurrency::CancelReason::kDeadline, deadline_ns))
+      deadline_exceeded_.fetch_add(1);
+    run_claimed(state);
+    gave_up = true;
+  };
+
+  // One park on the batch gate unless `ready()` already holds: prepare /
+  // re-check / commit, the protocol proven in tests/mc/.  False when the
+  // deadline ended the wait.
+  const auto park = [&](const auto& ready) {
+    const concurrency::WakeupGate::Ticket ticket = state.done.prepare_wait();
+    if (ready()) {
+      state.done.cancel_wait();
+      return true;
+    }
+    if (!timed) {
+      state.done.commit_wait(ticket);
+      return true;
+    }
+    return state.done.commit_wait_until(ticket, expired);
+  };
+
+  // Chunk i's final state.  While it is pending the submitter runs
+  // unclaimed chunks itself, and only when none are left parks until the
+  // chunk settles.  After giving up, a chunk still pending is a straggler.
+  const auto settle = [&](std::size_t i) {
+    const auto settled = [&] {
+      return state.chunk_state[i].load() != kChunkPending;
+    };
+    while (!settled() && !gave_up) {
+      if (timed && expired())
+        give_up();
+      else if (const std::size_t k = state.claim(); k < state.size())
+        run_chunk(state, k);
+      else
+        (void)park(settled);
+    }
+    return state.chunk_state[i].load();
+  };
+
+  // Fold in canonical (partition, chunk) order as each chunk settles —
+  // the sequential engine's fold, fed the same chunks in the same order,
+  // which is what makes the two engines' answers identical.  No
+  // half-partition answers: a partition with a chunk that did not
+  // complete is taken back out whole and named.
   report.chunks_total = state.size();
   Evaluation total;
+  std::set<std::int64_t> partition_days;
+  std::vector<CellKey> partition_cells;  // folded so far, for a rollback
   for (const BatchState::Part& part : state.parts) {
     const std::size_t count = part.plan.chunks.size();
+    const FoldMark mark(total);
+    partition_days.clear();
+    partition_cells.clear();
     bool whole = true;
     for (std::size_t j = 0; j < count; ++j) {
-      switch (state.chunk_state[part.first + j].load(
-          std::memory_order_acquire)) {
-        case kChunkDone:
-          ++report.chunks_completed;
-          break;
-        case kChunkFailed:
-          ++report.chunks_failed;
-          if (!report.first_error)
-            report.first_error = state.outcomes[part.first + j].error;
-          whole = false;
-          break;
-        case kChunkPending:   // still queued/running: will cancel
-        case kChunkCancelled:
-        default:
-          ++report.chunks_cancelled;
-          whole = false;
-          break;
-      }
-    }
-    if (!whole) {
-      // No half-partition answers: withhold every cell of an incomplete
-      // partition and name it, mirroring the corrupt-block taxonomy.
-      report.incomplete_partitions.push_back(part.partition);
-      continue;
-    }
-    // The sequential fold, fed the same chunks in the same canonical
-    // order: this is what makes the two engines' answers identical.
-    std::set<std::int64_t> partition_days;
-    for (std::size_t j = 0; j < count; ++j) {
       BatchState::ChunkOutcome& out = state.outcomes[part.first + j];
-      QueryEngine::fold_chunk(total, partition_days, part.plan.chunks[j],
-                              std::move(out.result), &out.cells);
+      const std::uint32_t s = settle(part.first + j);
+      if (s == kChunkDone) {
+        ++report.chunks_completed;
+        if (!whole) continue;
+        if (j + 1 < count)
+          for (const auto& cell : out.cells)
+            partition_cells.push_back(cell.first);
+        QueryEngine::fold_chunk(total, partition_days, part.plan.chunks[j],
+                                std::move(out.result), &out.cells);
+        continue;
+      }
+      if (s == kChunkFailed) {
+        ++report.chunks_failed;
+        if (!report.first_error) report.first_error = out.error;
+      } else {  // cancelled, or a straggler still pending past the deadline
+        ++report.chunks_cancelled;
+      }
+      if (whole) mark.rollback(total, partition_cells);
+      whole = false;
     }
+    if (!whole) report.incomplete_partitions.push_back(part.partition);
+  }
+
+  // Join: without an expired deadline, no claim task of this batch is
+  // still live when the answer returns.  They have nothing left to
+  // claim, so this only waits for the pool to pick them up; a deadline
+  // that runs out here returns the finished fold without them.
+  const auto joined = [&] { return state.live.load() == 0; };
+  while (!gave_up && !joined() && park(joined)) {
   }
   return total;
 }
@@ -299,9 +364,12 @@ Evaluation ParallelQueryEngine::run(const AggregationQuery& query,
     if (!part.plan.empty) parts.push_back(std::move(part));
   }
   auto state = std::make_shared<BatchState>(query, mode, std::move(parts));
-  run_batch(state, options.deadline_ns);
+  state->seq_base = task_seq_.fetch_add(state->size());
+  if (options.deadline_ns == 0 || host_now_ns() < options.deadline_ns)
+    fan_out(state);
+  Evaluation eval = collect(*state, options.deadline_ns, report);
   report.deadline_exceeded = state->token.cancelled();
-  return collect(*state, report);
+  return eval;
 }
 
 ExecStats ParallelQueryEngine::exec_stats() const {

@@ -1,34 +1,46 @@
 // Wall-clock execution mode (ROADMAP item 1): shard a query's STASH-graph
 // work — cell scan, V-B roll-up, merge — across real worker threads.
 //
-// The unit of parallelism is the chunk: QueryEngine::evaluate_chunk is
-// pure per chunk (a cell belongs to exactly one chunk at a resolution),
-// so per-chunk results merge back in the canonical plan order without any
-// cross-chunk summary merges.  That is the oracle-equivalence contract
-// (DESIGN.md §13): for the same graph state, ParallelQueryEngine and the
-// sequential QueryEngine produce answers with identical cell sets and
-// bit-identical Summary values, at every thread count — proven by the
+// The unit of work is a claimed chunk, not a pool task.  A batch (one
+// evaluate call) submits at most one claim task per worker; each claims
+// chunk indices from a per-batch atomic cursor until none are left, so
+// the pool handoff is paid per worker, not per chunk.  The submitting
+// thread folds chunks in the canonical (partition, chunk) order as each
+// one settles, and while the next chunk in order is still running it
+// claims and runs unclaimed chunks itself; it parks on the batch's
+// WakeupGate only when nothing is left to claim.
+//
+// QueryEngine::evaluate_chunk is pure per chunk (a cell belongs to exactly
+// one chunk at a resolution), so per-chunk results fold in plan order
+// without any cross-chunk summary merges.  That is the oracle-equivalence
+// contract (DESIGN.md §13): for the same graph state, ParallelQueryEngine
+// and the sequential QueryEngine produce answers with identical cell sets
+// and bit-identical Summary values, at every thread count — proven by the
 // property test in tests/exec/parallel_engine_test.cpp via canonical
 // (sorted, codec-encoded) digests.
 //
+// Join contract: without an expired deadline, evaluate returns only after
+// every claim task of its batch has exited, so an answer never leaves
+// batch work behind in the pool.
+//
 // Robustness contract (DESIGN.md §14): evaluate/evaluate_partition accept
 // a wall-clock deadline.  On expiry the submitting thread cancels the
-// batch's CancellationToken and returns immediately with whatever is
-// honest: only partitions whose every chunk completed contribute cells;
-// everything else is reported by name in BatchReport.  Workers probe the
-// token between chunks and between per-day cell scans (CancelProbe), so
-// outstanding work winds down cooperatively; stragglers finish against
-// batch-owned state (shared_ptr) after the submitter has long returned.
-// Seeded FaultHooks inject task delays / exceptions / worker stalls for
-// the chaos suite — a throwing chunk is recorded per-chunk and the
-// partition it belongs to is reported incomplete, never std::terminate.
+// batch's CancellationToken, runs the still-unclaimed chunks through the
+// cancelled fast path (so the report's counts stay exact) and returns
+// with whatever is honest: only partitions whose every chunk completed
+// contribute cells — a partition already partly folded is taken back out
+// — and everything else is reported by name in BatchReport.  Workers
+// probe the token between chunks and between per-day cell scans
+// (CancelProbe), so outstanding work winds down cooperatively; stragglers
+// finish against batch-owned state (shared_ptr) after the submitter has
+// long returned.  Seeded FaultHooks inject chunk delays / exceptions /
+// worker stalls for the chaos suite — a throwing chunk is recorded
+// per-chunk and the partition it belongs to is reported incomplete, never
+// std::terminate.
 //
-// Locking: workers take the RwSpinlock shared while evaluating (const
-// graph reads + Galileo scans); absorb() — the maintenance pass — and
+// Locking: every chunk runs under the RwSpinlock held shared (const graph
+// reads + Galileo scans); absorb() — the maintenance pass — and
 // exclusive() — any other graph or store write — take it exclusive.
-// Tasks flow through the WorkerPool's MpmcRings; the
-// submitting thread parks on a per-batch WakeupGate until the last chunk
-// lands or the deadline fires (commit_wait_until).
 #pragma once
 
 #include <cstddef>
@@ -76,10 +88,10 @@ struct BatchReport {
   bool deadline_exceeded = false;
   std::size_t chunks_total = 0;
   std::size_t chunks_completed = 0;
-  /// Cancelled by the token, or still outstanding when the submitter
-  /// returned (those cancel when they surface).
+  /// Cancelled by the token, or still running when the submitter gave up
+  /// at its deadline (those cancel when they surface).
   std::size_t chunks_cancelled = 0;
-  /// Chunk task threw (quarantined; InjectedFault under chaos).
+  /// Chunk threw (quarantined; InjectedFault under chaos).
   std::size_t chunks_failed = 0;
   /// Partitions with at least one unfinished/failed chunk — their cells
   /// are withheld entirely (no half-partition answers).
@@ -99,7 +111,7 @@ struct ExecStats {
   concurrency::WorkerStats pool;       // incl. submit_shed/watchdog_stalls
   std::uint64_t deadline_exceeded = 0;  // evaluate calls that hit a deadline
   std::uint64_t cancelled_chunks = 0;   // chunks cancelled cooperatively
-  std::uint64_t task_exceptions = 0;    // chunk tasks that threw
+  std::uint64_t task_exceptions = 0;    // chunks that threw
 };
 
 class ParallelQueryEngine {
@@ -110,7 +122,7 @@ class ParallelQueryEngine {
 
   /// Same contract as QueryEngine::evaluate_partition, answered by the
   /// worker pool.  Blocks the calling thread until the answer is whole;
-  /// rethrows a chunk task's exception (legacy contract).
+  /// rethrows a chunk's exception (legacy contract).
   [[nodiscard]] Evaluation evaluate_partition(
       std::string_view partition, const AggregationQuery& query,
       EvalMode mode = EvalMode::Cached) const;
@@ -125,8 +137,8 @@ class ParallelQueryEngine {
                                               const ExecOptions& options,
                                               BatchReport& report) const;
 
-  /// Whole-query evaluation: every (partition, chunk) fans out at once;
-  /// partitions are merged in the same canonical covering order as
+  /// Whole-query evaluation: every (partition, chunk) of the query is one
+  /// batch; partitions are folded in the same canonical covering order as
   /// QueryEngine::evaluate.
   [[nodiscard]] Evaluation evaluate(const AggregationQuery& query,
                                     EvalMode mode = EvalMode::Cached) const;
@@ -177,16 +189,18 @@ class ParallelQueryEngine {
                                const std::vector<std::string>& partitions,
                                const ExecOptions& options,
                                BatchReport& report) const;
-  /// Fan out the batch and wait — until the last chunk lands, or until
-  /// the deadline fires (then the token is cancelled and the wait ends).
-  void run_batch(const std::shared_ptr<BatchState>& state,
-                 std::uint64_t deadline_ns) const;
-  /// One chunk task's body (worker thread, or inline on the submitter
-  /// when every ring is full — the bounded-backpressure shed path).
-  void run_chunk(const std::shared_ptr<BatchState>& state, std::size_t index,
-                 std::uint64_t task_seq) const;
-  /// Merge completed whole partitions into an Evaluation; report the rest.
+  /// Submits min(chunks, workers) claim tasks; if the rings are full the
+  /// rest are not submitted and the collector claims their chunks.
+  void fan_out(const std::shared_ptr<BatchState>& state) const;
+  /// Claims and runs chunks until none are left (a claim task's body).
+  void run_claimed(BatchState& state) const;
+  /// One chunk's body (a claim task, or the helping submitter).  Publishes
+  /// the chunk's final state and rings the batch gate.
+  void run_chunk(BatchState& state, std::size_t index) const;
+  /// Settles and folds the chunks in canonical order, helping while it
+  /// waits; reports incomplete partitions; joins the claim tasks.
   [[nodiscard]] Evaluation collect(BatchState& state,
+                                   std::uint64_t deadline_ns,
                                    BatchReport& report) const;
 
   QueryEngine engine_;

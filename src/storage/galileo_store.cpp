@@ -28,6 +28,8 @@ namespace {
 ///     map sees the same insertion sequence.
 void aggregate(const NamGenerator& gen, const NamGenerator::Grid& grid,
                const Resolution& res, CellSummaryMap& cells) {
+  static_assert(kNamAttributeCount <= Summary::kInlineAttributes,
+                "a scanned cell's Summary must not allocate");
   if (grid.size() == 0) return;
   std::vector<NamGenerator::Axis> rows;
   std::vector<std::uint64_t> row_keys;

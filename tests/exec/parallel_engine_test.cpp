@@ -161,6 +161,31 @@ TEST_F(ParallelEngineTest, EvaluatePartitionMatchesOracle) {
   }
 }
 
+TEST_F(ParallelEngineTest, EvaluateRunsAtMostOneTaskPerWorker) {
+  // The fan-out is paid per worker, not per chunk: a query with hundreds
+  // of chunks still submits one claim task per worker, and the batch
+  // join means none of them is still queued when evaluate returns.
+  const AggregationQuery query{
+      {36.0, 40.0, -102.0, -94.0},
+      TemporalBin(TemporalRes::Day, 2015, 2, 2).range(),
+      {6, TemporalRes::Day}};
+  StashGraph graph(graph_config());
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    ParallelQueryEngine par(graph, store_, exec_config(threads, 16));
+    std::uint64_t evaluates = 0;
+    for (const EvalMode mode : {EvalMode::Basic, EvalMode::Cached}) {
+      const Evaluation eval = par.evaluate(query, mode);
+      ++evaluates;
+      ASSERT_GT(eval.breakdown.chunks_total, 16 * threads);
+      EXPECT_EQ(par.queue_depth(), 0u);
+    }
+    // A worker counts a task just after running it, so the counter may
+    // lag the last evaluate but never runs ahead of what was submitted.
+    EXPECT_LE(par.total_stats().executed, evaluates * par.worker_count())
+        << "threads=" << threads;
+  }
+}
+
 TEST_F(ParallelEngineTest, ReportsWorkerTopology) {
   StashGraph graph(graph_config());
   ParallelQueryEngine par(graph, store_, exec_config(3, 16));

@@ -21,6 +21,7 @@ namespace stash {
 namespace {
 
 using mc_tests::AbaStack;
+using mc_tests::claim_fanout_scenario;
 using mc_tests::Publish;
 using mc_tests::Seqlock;
 
@@ -174,6 +175,19 @@ TEST(ModelCheckBrokenVariantsTest, ValidatingSeqlockReaderPasses) {
                            .run(seqlock_scenario(/*broken_reader=*/false));
   EXPECT_FALSE(r.bug_found) << r.bug << "\n" << r.trace;
   EXPECT_TRUE(r.complete);
+}
+
+// ---------------------------------------------------------------------------
+// 4. Claimed chunk fan-out whose chunks ring the gate only when the last
+//    one lands.  The correct twin is proven in claim_fanout_mc_test.cpp.
+// ---------------------------------------------------------------------------
+TEST(ModelCheckBrokenVariantsTest, NotifyOnlyOnLastChunkIsCaught) {
+  const auto make = claim_fanout_scenario(/*broken=*/true);
+  const mc::Result r = mc::ModelChecker(budget_opts()).run(make);
+  ASSERT_TRUE(r.bug_found) << "checker missed the last-chunk-only notify";
+  EXPECT_NE(r.bug.find("lost wakeup"), std::string::npos) << r.bug;
+  EXPECT_LE(r.executions, budget_opts().max_executions);
+  expect_deterministic_replay(make, r);
 }
 
 }  // namespace
